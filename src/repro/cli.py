@@ -872,6 +872,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(generate_report())
         return 0
+    if args.experiment != "all" and args.experiment not in EXPERIMENTS:
+        print(f"error: unknown experiment {args.experiment!r}; choose from "
+              f"{', '.join(sorted(EXPERIMENTS))}, all, report, or "
+              "optimizations", file=sys.stderr)
+        return 2
     ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for experiment_id in ids:
         result = run_experiment(experiment_id)

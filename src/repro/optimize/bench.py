@@ -21,11 +21,10 @@ gate verdicts, not byte-diffed).
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..framework.trace_io import default_store
-from ..perf.bench import estimates_equal
+from ..perf.bench import _timed, estimates_equal
 from ..perf.scaling import (clear_estimate_cache, clear_partition_cache,
                             estimate_step_time)
 from ..perf.trace_builder import clear_cache as clear_trace_cache
@@ -51,12 +50,6 @@ DELTA_GATED_WORKLOADS = ("alphafold",)
 #: value off the warm base point and must be served end-to-end from the
 #: cached trace/partition/structure/cost state.
 _DELTA_KNOBS = ("gc_disabled", "cuda_graphs", "ddp_bucket_mb", "batch")
-
-
-def _timed(fn: Callable[[], object]) -> Tuple[float, object]:
-    t0 = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - t0, result
 
 
 def _clear_derived_caches() -> None:

@@ -18,8 +18,8 @@ stage               knobs          what a delta recomputes
                                    the trace walk, partition and shard mask
                                    are reused from the caches
 ``rank``            batch,         nothing above the rank-level DES: trace,
-                    cuda_graphs,   partition, structure, cost arrays and
-                    gc_disabled,   splits are all served from cache
+                    cuda_graphs,   partition, structure and cost arrays
+                    gc_disabled,   are all served from cache
                     ddp_bucket_mb
 ==================  =============  ==========================================
 

@@ -12,7 +12,7 @@ from .scaling import (LADDER_LABELS, BarrierBreakdown, Scenario, StepEstimate,
                       barrier_breakdown, estimate_many, estimate_step_time,
                       optimization_ladder)
 from .step_time import (StepTimeBreakdown, default_segment_marks,
-                        resolve_engine, simulate_step)
+                        simulate_step)
 from .vector_cost import TraceCostArrays, compute_cost_arrays, trace_cost_arrays
 from .time_to_train import (TttPhase, TttResult, curve_with_walltime,
                             mlperf_time_to_train, pretraining_time_to_train)
@@ -30,8 +30,7 @@ __all__ = [
     "LADDER_LABELS", "BarrierBreakdown", "Scenario", "StepEstimate",
     "barrier_breakdown", "estimate_many", "estimate_step_time",
     "optimization_ladder",
-    "StepTimeBreakdown", "default_segment_marks", "resolve_engine",
-    "simulate_step",
+    "StepTimeBreakdown", "default_segment_marks", "simulate_step",
     "TraceCostArrays", "compute_cost_arrays", "trace_cost_arrays",
     "TttPhase", "TttResult", "curve_with_walltime", "mlperf_time_to_train",
     "pretraining_time_to_train",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -40,7 +39,7 @@ from ..workloads import get_workload, list_workloads
 from .scaling import (Scenario, StepEstimate, clear_estimate_cache,
                       clear_partition_cache, estimate_many,
                       estimate_step_time, optimization_ladder)
-from .step_time import SIM_ENGINE_ENV, StepTimeBreakdown, simulate_step
+from .step_time import StepTimeBreakdown, simulate_step
 from .trace_builder import build_step_trace, clear_cache
 from .vector_cost import clear_cost_cache, trace_cost_arrays
 
@@ -57,21 +56,14 @@ QUICK_LADDER_RUNGS = 3
 #: reset at session start).  Only gated when the cache saw at least
 #: :data:`CACHE_GATE_MIN_LOOKUPS` lookups, so an unexercised cache can
 #: never fail.  Values sit below the measured rates with margin (quick /
-#: full: step-traces 0.73/0.66, cost-arrays 0.59/0.56, dap-partitions
-#: 0.65/0.58, serial-split 0.59/0.56); a capacity regression (re-evicting
-#: what a sweep re-uses) drops the measured rate well under these floors.
-#: The structure and shard-mask caches are long-tail by design — they are
-#: consulted only on fresh cost/split builds and hit only when a records
-#: stream is re-priced for a second GPU (measured 0.17/0.33 and
-#: 0.08/0.14), so their floors just assert the GPU-flip reuse happens
-#: at all.
+#: full: step-traces 0.76/0.66, cost-arrays 0.61/0.46-0.50,
+#: dap-partitions 0.67/0.50-0.54; the full ladder's concurrent misses
+#: move the last two); a capacity regression (re-evicting what a sweep
+#: re-uses) drops the measured rate well under these floors.
 CACHE_HIT_THRESHOLDS: Dict[str, float] = {
     "step-traces": 0.50,
     "cost-arrays": 0.40,
-    "trace-structures": 0.10,
     "dap-partitions": 0.40,
-    "serial-split": 0.40,
-    "shard-masks": 0.05,
 }
 
 #: Below this many lookups a hit rate is noise, not a signal.
@@ -157,21 +149,9 @@ def _bench_step_sim(policy: KernelPolicy, gpu: str) -> Dict[str, object]:
     }
 
 
-def _with_engine(name: str, fn: Callable[[], object]) -> object:
-    previous = os.environ.get(SIM_ENGINE_ENV)
-    os.environ[SIM_ENGINE_ENV] = name
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop(SIM_ENGINE_ENV, None)
-        else:
-            os.environ[SIM_ENGINE_ENV] = previous
-
-
 def _bench_estimate(gpu: str) -> Dict[str, object]:
     scenario = golden_scenario(gpu)
-    estimate_step_time(scenario)       # warm traces, cost arrays, splits
+    estimate_step_time(scenario)       # warm traces, partitions, cost arrays
 
     # Pre-PR-equivalent baseline: event engine with every derived cache
     # dropped and the disk store bypassed, so the call re-partitions,
@@ -187,19 +167,17 @@ def _bench_estimate(gpu: str) -> Dict[str, object]:
         clear_estimate_cache()
         clear_partition_cache()
         clear_cost_cache()
-        baseline_s, baseline_est = _with_engine(
-            "event", lambda: _timed(lambda: estimate_step_time(scenario)))
+        baseline_s, baseline_est = _timed(
+            lambda: estimate_step_time(scenario, engine="event"))
     finally:
         store.enabled = was_enabled
 
-    # Warm-cache runs of both engines (what sweeps actually pay per call).
-    estimate_step_time(scenario)       # re-warm partitions and arrays
+    # Warm-cache runs of both engines (what sweeps actually pay per call):
+    # the baseline left the partition and cost arrays in memory.
+    event_s, event_est = _timed(
+        lambda: estimate_step_time(scenario, engine="event"))
     clear_estimate_cache()
-    event_s, event_est = _with_engine(
-        "event", lambda: _timed(lambda: estimate_step_time(scenario)))
-    clear_estimate_cache()
-    fast_s, fast_est = _with_engine(
-        "fast", lambda: _timed(lambda: estimate_step_time(scenario)))
+    fast_s, fast_est = _timed(lambda: estimate_step_time(scenario))
     speedup = baseline_s / max(fast_s, 1e-12)
     return {
         "scenario": scenario.label(),
@@ -247,12 +225,10 @@ def _bench_workload(name: str, gpu: str, quick: bool) -> Dict[str, object]:
 
     scenario = Scenario(workload=wl.name, **wl.bench_scenario_kwargs(gpu))
     estimate_step_time(scenario)       # warm traces, partitions, cost arrays
+    est_event_s, est_event = _timed(
+        lambda: estimate_step_time(scenario, engine="event"))
     clear_estimate_cache()
-    est_event_s, est_event = _with_engine(
-        "event", lambda: _timed(lambda: estimate_step_time(scenario)))
-    clear_estimate_cache()
-    est_fast_s, est_fast = _with_engine(
-        "fast", lambda: _timed(lambda: estimate_step_time(scenario)))
+    est_fast_s, est_fast = _timed(lambda: estimate_step_time(scenario))
     est_match = estimates_equal(est_event, est_fast)
 
     return {
@@ -283,8 +259,8 @@ def _bench_workload(name: str, gpu: str, quick: bool) -> Dict[str, object]:
 def _bench_incremental(gpu: str) -> Dict[str, object]:
     """Single-knob deltas off the golden scenario — the optimizer's access
     pattern.  A GPU flip must re-price only the cost segment (the trace
-    structure and shard mask come from their caches); a GC or bucket flip
-    must re-run only the rank-level DES.  Runs with the disk store
+    structure and shard mask come with the cached partition); a GC or
+    bucket flip must re-run only the rank-level DES.  Runs with the disk store
     bypassed so the cache hits measured here are the in-memory ones the
     hit-rate gates check.
     """

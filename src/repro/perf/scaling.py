@@ -38,26 +38,25 @@ import numpy as np
 
 from ..datapipe.sim_pipeline import PipelineFeed, StallModel, stall_model
 from ..distributed.collectives import collective_time
-from ..distributed.dap import (SHARDABLE_SCOPES, DapStepTrace, is_shardable,
-                               partition_step)
-from ..distributed.ddp import DdpConfig, bucket_schedule, ddp_cost
+from ..distributed.dap import is_shardable, partition_step
+from ..distributed.ddp import DdpConfig, bucket_schedule
 from ..distributed.straggler import ImbalanceInputs, StragglerModel
 from ..distributed.topology import ClusterTopology
 from ..framework.caching import LruCache, register_cache
 from ..framework.dtypes import bfloat16
 from ..framework.tracer import KernelCategory, KernelRecord
 from ..hardware.cpu import CpuJitterConfig
-from ..hardware.gpu import GpuSpec, get_gpu, registry_token
+from ..hardware.gpu import get_gpu, registry_token
 from ..hardware.roofline import CostModel
 from ..model.config import KernelPolicy
 from ..sim.des import Barrier, Event, Process, Resource, Simulator, Timeline
 from ..workloads import DEFAULT_WORKLOAD, Workload, get_workload
 from .fast_step import sequential_sum
-from .step_time import simulate_step
+from .step_time import check_engine, simulate_step
 from .torchcompile import apply_torch_compile
 from .trace_builder import (StepTrace, build_step_trace, trace_is_warm,
-                            trace_key, trace_store_material)
-from .vector_cost import (TraceCostArrays, cost_cache_material,
+                            trace_key)
+from .vector_cost import (TraceStructure, cost_cache_material,
                           trace_cost_arrays)
 
 #: Rank-level simulation horizon: warmup steps absorb loader cold start and
@@ -154,62 +153,6 @@ def _prep_times(workload: Workload, seed: int = 5, n: int = 1024) -> np.ndarray:
     return _PREP_CACHE.get_or_create(
         (workload.name, seed, n),
         lambda: workload.prep_time_series(seed=seed, n=n))
-
-
-#: Serial/parallel device-time splits are pure functions of the cost-array
-#: key, so they are memoized alongside the arrays.
-_SPLIT_CACHE = register_cache(LruCache(capacity=64, name="serial-split"))
-
-#: The shardability mask is GPU-independent (a pure function of the
-#: partitioned records and the workload's scopes), so it is cached under
-#: the records identity alone: a GPU change re-does two masked cumsums,
-#: not the ~150k-call ``is_shardable`` walk.
-_SHARD_MASK_CACHE = register_cache(LruCache(capacity=32, name="shard-masks"))
-
-
-def _split_serial_parallel(dap: DapStepTrace, cost: CostModel,
-                           costs: Optional[TraceCostArrays] = None,
-                           cache_key: Optional[Tuple] = None,
-                           scopes: Tuple[str, ...] = SHARDABLE_SCOPES,
-                           mask_key: Optional[Tuple] = None
-                           ) -> Tuple[float, float]:
-    if costs is not None:
-        if cache_key is not None:
-            hit = _SPLIT_CACHE.get(cache_key)
-            if hit is not None:
-                return hit
-
-        # Masked sequential sums over the precomputed per-kernel seconds:
-        # np.cumsum adds left to right, so each total is bit-identical to
-        # the scalar accumulation over the same subsequence.
-        def build_mask() -> np.ndarray:
-            recs = dap.records
-            return np.fromiter(
-                (is_shardable(recs[i], scopes)
-                 for i in costs.exec_idx.tolist()),
-                dtype=bool, count=costs.m)
-
-        if mask_key is not None:
-            shardable = _SHARD_MASK_CACHE.get_or_create(mask_key, build_mask)
-        else:
-            shardable = build_mask()
-        result = (sequential_sum(costs.seconds[~shardable]),
-                  sequential_sum(costs.seconds[shardable]))
-        if cache_key is not None:
-            _SPLIT_CACHE.put(cache_key, result)
-        return result
-    serial = parallel = 0.0
-    for r in dap.records:
-        if r.category is KernelCategory.COMM:
-            continue
-        if r.tags and r.tags.get("hidden_by_comm"):
-            continue
-        t = cost.kernel_seconds(r)
-        if is_shardable(r, scopes):
-            parallel += t
-        else:
-            serial += t
-    return serial, parallel
 
 
 # ----------------------------------------------------------------------
@@ -416,24 +359,40 @@ def _policy_signature(policy: KernelPolicy) -> Tuple:
 
 
 def _scenario_key(scenario: Scenario) -> Tuple:
-    # The registry token pins the key to the *current* spec registered
-    # under the name: re-registering a calibrated spec bumps the epoch,
-    # so estimates computed against the replaced spec can't be replayed.
-    return (scenario.workload, _policy_signature(scenario.policy),
-            scenario.gpu, registry_token(scenario.gpu), scenario.dap_n,
-            scenario.dp_degree, scenario.cuda_graphs, scenario.gc_disabled,
-            scenario.torch_compile, scenario.nonblocking_pipeline,
-            scenario.data_workers, scenario.data_queue_capacity,
-            scenario.n_recycle, scenario.imbalance_enabled, scenario.seed,
-            scenario.ddp_bucket_mb)
+    # Every field is part of the key, so a new Scenario field can never
+    # alias cached estimates.  The registry token pins the key to the
+    # *current* spec registered under the name: re-registering a calibrated
+    # spec bumps the epoch, so estimates computed against the replaced spec
+    # can't be replayed.
+    values = tuple(getattr(scenario, f.name)
+                   for f in dataclasses.fields(scenario))
+    return (tuple(_policy_signature(v) if isinstance(v, KernelPolicy) else v
+                  for v in values)
+            + (registry_token(scenario.gpu),))
 
 
 _ESTIMATE_CACHE = register_cache(LruCache(capacity=256, name="step-estimates"))
 
+
+@dataclass
+class _Partition:
+    """One DAP-partitioned (and optionally compiled) record list plus the
+    GPU-independent data derived from it."""
+
+    records: List[KernelRecord]
+    #: Per record: does it sit in a DAP-shardable scope?  Splits the
+    #: device time into serial and parallel parts.
+    shardable: np.ndarray
+    #: Taken from the first cost-array build or disk hit, so a later GPU
+    #: re-costs it instead of re-walking the records.  Concurrent estimates
+    #: may both set it; their structures are equal, so either one may win.
+    structure: Optional[TraceStructure] = None
+
+
 #: DAP partitioning + the torch.compile record transform are pure
 #: deterministic functions of (trace identity, DAP degree, compile flag);
 #: the resulting record lists are immutable by convention, so scenarios
-#: sharing a partitioned trace share one list instead of re-partitioning
+#: sharing a partitioned trace share one entry instead of re-partitioning
 #: ~150k records per estimate.  Sized for the optimizer's joint knob
 #: search (policy x DAP x compile combinations alive at once), not just
 #: the 10-rung ladder; entries are full record lists, so the cap stays
@@ -446,17 +405,22 @@ def clear_estimate_cache() -> None:
 
 
 def clear_partition_cache() -> None:
-    """Drop cached DAP partitions and the splits/masks derived from them."""
+    """Drop cached DAP partitions with the masks and structures they hold."""
     _DAP_CACHE.clear()
-    _SPLIT_CACHE.clear()
-    _SHARD_MASK_CACHE.clear()
 
 
 def estimate_step_time(scenario: Scenario,
                        trace: Optional[StepTrace] = None,
-                       topo: Optional[ClusterTopology] = None) -> StepEstimate:
-    """Simulate one scenario's expected step time (two-level DES)."""
-    cacheable = trace is None and topo is None
+                       topo: Optional[ClusterTopology] = None,
+                       engine: str = "fast") -> StepEstimate:
+    """Simulate one scenario's expected step time (two-level DES).
+
+    ``engine`` selects the kernel-level simulation (see
+    :func:`repro.perf.step_time.simulate_step`); only ``"fast"`` estimates
+    are memoized, so an ``"event"`` estimate always runs its engine.
+    """
+    check_engine(engine)
+    cacheable = trace is None and topo is None and engine == "fast"
     if cacheable:
         key = _scenario_key(scenario)
         cached = _ESTIMATE_CACHE.get(key)
@@ -479,7 +443,7 @@ def estimate_step_time(scenario: Scenario,
                                 workload=wl),
                       scenario.dap_n, scenario.torch_compile)
 
-    def build_partition():
+    def build_partition() -> _Partition:
         itemsize = 2 if scenario.policy.dtype.name in ("bf16", "fp16") else 4
         bundles = wl.dap_comm_bundles(
             cfg, scenario.dap_n, itemsize,
@@ -491,13 +455,16 @@ def estimate_step_time(scenario: Scenario,
         recs = dap.records
         if scenario.torch_compile:
             recs = apply_torch_compile(recs)
-        return recs, dap.comm_events, dap.dap_n
+        scopes = wl.shardable_scopes
+        shardable = np.fromiter((is_shardable(r, scopes) for r in recs),
+                                dtype=bool, count=len(recs))
+        return _Partition(recs, shardable)
 
     if records_id is not None:
-        records, comm_events, dap_n = _DAP_CACHE.get_or_create(
-            records_id, build_partition)
+        part = _DAP_CACHE.get_or_create(records_id, build_partition)
     else:
-        records, comm_events, dap_n = build_partition()
+        part = build_partition()
+    records = part.records
 
     # --- kernel level: dispatch vs compute streams, segment marks at every
     # collective position and phase boundary ---
@@ -511,21 +478,19 @@ def estimate_step_time(scenario: Scenario,
     if records_id is not None:
         cost_key = (records_id, scenario.gpu, registry_token(scenario.gpu))
         material = cost_cache_material(repr(records_id), gpu, True)
-    # structure_key is the GPU-independent half of cost_key: a GPU change
-    # misses on the cost arrays but re-costs the cached TraceStructure
-    # instead of re-walking the partitioned records.
     costs = trace_cost_arrays(records, cost, cache_key=cost_key,
                               store_material=material,
-                              structure_key=records_id)
+                              structure=part.structure)
+    if part.structure is None:
+        part.structure = costs.structure
     breakdown = simulate_step(records, gpu, cost,
                               graphed=scenario.cuda_graphs,
-                              segment_marks=costs.default_marks,
-                              costs=costs)
+                              segment_marks=costs.structure.default_marks,
+                              engine=engine, costs=costs)
     plan = _build_step_plan(records, breakdown.segments, topo)
-    serial_s, parallel_s = _split_serial_parallel(
-        DapStepTrace(records=records, comm_events=comm_events,
-                     dap_n=dap_n), cost, costs=costs, cache_key=cost_key,
-        scopes=wl.shardable_scopes, mask_key=records_id)
+    shardable = part.shardable[costs.structure.exec_idx]
+    serial_s = sequential_sum(costs.seconds[~shardable])
+    parallel_s = sequential_sum(costs.seconds[shardable])
 
     itemsize = 2 if scenario.policy.dtype.name in ("bf16", "fp16") else 4
     param_bytes = trace.n_params * itemsize

@@ -34,14 +34,10 @@ Two engines produce the breakdown:
   (:mod:`repro.perf.vector_cost`), which is **bit-identical** to the event
   engine (including segments, timelines and ``on_kernel`` replay) at a
   small fraction of the wall time.
-
-Set ``REPRO_SIM_ENGINE=event`` (or ``fast``) to override the default
-process-wide; an explicit ``engine=`` argument always wins.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -53,11 +49,10 @@ from ..hardware.gpu import GpuSpec
 from ..hardware.roofline import CostModel
 from ..sim.des import Event, Simulator, Timeline
 from .fast_step import two_clock_times
-from .vector_cost import TraceCostArrays, compute_cost_arrays
+from .vector_cost import TraceCostArrays, _executable, compute_cost_arrays
 
-#: Environment override for the default simulation engine.
-SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
-_ENGINES = ("auto", "fast", "event")
+#: Kernel-level simulation engines (see the module docstring).
+ENGINES = ("fast", "event")
 
 
 @dataclass
@@ -90,16 +85,6 @@ class StepTimeBreakdown:
         return self.cpu_exposed_s / self.total_s if self.total_s else 0.0
 
 
-def _executable(record: KernelRecord) -> bool:
-    if record.category is KernelCategory.COMM:
-        return False  # collectives are costed by the distributed layer
-    if record.tags and record.tags.get("hidden_by_comm"):
-        # Work overlapped with communication: off the single-rank
-        # critical path (the distributed model checks it still fits).
-        return False
-    return True
-
-
 def default_segment_marks(records: Sequence[KernelRecord]) -> List[int]:
     """Trace positions where the distributed layer needs timeline stamps:
     every COMM record and every phase boundary, in one pass (replaces the
@@ -116,16 +101,11 @@ def default_segment_marks(records: Sequence[KernelRecord]) -> List[int]:
     return marks
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Normalize the engine choice: argument > $REPRO_SIM_ENGINE > fast."""
-    choice = engine if engine is not None else os.environ.get(
-        SIM_ENGINE_ENV, "auto")
-    choice = choice.strip().lower() or "auto"
-    if choice not in _ENGINES:
-        raise ValueError(
-            f"unknown simulation engine {choice!r}; expected one of "
-            f"{_ENGINES}")
-    return "fast" if choice == "auto" else choice
+def check_engine(engine: str) -> None:
+    """Reject an engine name that is not in :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown simulation engine {engine!r}; expected "
+                         f"one of {ENGINES}")
 
 
 def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
@@ -138,7 +118,7 @@ def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
                   rank: int = 0,
                   on_kernel: Optional[
                       Callable[[KernelRecord, float, float], None]] = None,
-                  engine: Optional[str] = None,
+                  engine: str = "fast",
                   costs: Optional[TraceCostArrays] = None
                   ) -> StepTimeBreakdown:
     """Simulate one step over the kernel trace.
@@ -159,15 +139,16 @@ def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
             end_s)`` with the kernel's GPU-timeline execution span, in
             execution order — the chrome-trace exporter and the flame
             rollup consume exactly the simulated timestamps.
-        engine: ``"fast"`` (vectorized closed form, default), ``"event"``
-            (generator DES), or ``"auto"``; ``None`` defers to
-            ``$REPRO_SIM_ENGINE``.
+        engine: ``"fast"`` (vectorized closed form, default) or
+            ``"event"`` (generator DES); anything else raises
+            :class:`ValueError`.
         costs: precomputed cost arrays for ``records`` (from
             :func:`repro.perf.vector_cost.trace_cost_arrays`); the fast
             engine computes them on the fly when absent.
     """
+    check_engine(engine)
     recs = records if isinstance(records, list) else list(records)
-    if resolve_engine(engine) == "event":
+    if engine == "event":
         return _simulate_step_event(
             recs, gpu, cost_model, graphed, cpu_slowdown, extra_host_s,
             segment_marks, timeline, rank, on_kernel)
@@ -189,10 +170,11 @@ def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
                         ) -> StepTimeBreakdown:
     if costs is None:
         costs = compute_cost_arrays(recs, cost_model or CostModel(gpu))
-    elif costs.n_records != len(recs):
+    elif costs.structure.n_records != len(recs):
         raise ValueError(
-            f"cost arrays cover {costs.n_records} records but the trace "
-            f"has {len(recs)}")
+            f"cost arrays cover {costs.structure.n_records} records but the "
+            f"trace has {len(recs)}")
+    structure = costs.structure
 
     dispatch = gpu.dispatch_seconds(graphed=graphed, cpu_slowdown=cpu_slowdown)
     m = costs.m
@@ -201,7 +183,7 @@ def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
     if m:
         drain_mask: Optional[np.ndarray] = None
         if not graphed:
-            pc = costs.phase_codes
+            pc = structure.phase_codes
             drain_mask = np.empty(m, dtype=bool)
             drain_mask[0] = True
             np.not_equal(pc[1:], pc[:-1], out=drain_mask[1:])
@@ -220,7 +202,7 @@ def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
         c_list = c.tolist()
         end_list = ends.tolist()
         prev_end = 0.0
-        exec_positions = costs.exec_idx.tolist()
+        exec_positions = structure.exec_idx.tolist()
         for k in range(m):
             ck = c_list[k]
             ek = end_list[k]
@@ -237,10 +219,11 @@ def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
         if not marks or marks[-1] != len(recs):
             marks.append(len(recs))
         thresholds = np.searchsorted(
-            costs.exec_idx, np.asarray(marks, dtype=np.int64), side="left")
+            structure.exec_idx, np.asarray(marks, dtype=np.int64),
+            side="left")
         sec_cumsum = costs.sec_cumsum
-        phase_codes = costs.phase_codes
-        phase_names = costs.phase_names
+        phase_codes = structure.phase_codes
+        phase_names = structure.phase_names
         prev_t = 0.0
         prev_busy = 0.0
         prev_count = 0

@@ -14,8 +14,9 @@ recomputes the segments the changed knob actually touches:
 * :class:`TraceStructure` — everything that depends *only* on the record
   list (executable positions, flops/bytes, category/phase/dtype codes,
   default segment marks, tunable positions).  Extracting it is the single
-  O(n) Python walk over ~150k records; it is cached per partitioned-trace
-  identity, so changing the GPU or the autotune flag never re-walks the
+  O(n) Python walk over ~150k records; callers keep it next to the records
+  it came from (:mod:`repro.perf.scaling` stores it in the partition
+  entry), so changing the GPU or the autotune flag never re-walks the
   records.
 * the **cost segment** — ``seconds``/``limiter_codes``, the only arrays
   that read the :class:`CostModel`.  Re-costing an already-extracted
@@ -35,14 +36,14 @@ Arrays are cached in a bounded LRU keyed by the caller's cache key, and —
 when key material is provided — persisted to the content-addressed
 on-disk store so fresh processes skip the evaluation entirely.  Persisted
 entries carry the structure arrays too (format v2), so a disk hit for one
-GPU still seeds the structure cache for every other GPU.
+GPU also yields the structure every other GPU is re-costed from.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from ..hardware.roofline import (COST_MODEL_VERSION, LIMITERS, CostModel,
 
 #: Bump when the array layout changes (invalidates persisted entries).
 #: v2 added the structure arrays (flops/bytes/dtype codes/tunables) so a
-#: disk hit can seed the GPU-independent structure cache.
+#: disk hit carries the GPU-independent structure too.
 ARRAYS_FORMAT_VERSION = 2
 
 #: Stable category encoding (enum definition order).
@@ -65,11 +66,12 @@ _MEMOP_CODE = _CATEGORY_CODE[KernelCategory.MEMORY_OP]
 
 
 def _executable(record: KernelRecord) -> bool:
-    """Mirror of :func:`repro.perf.step_time._executable` (COMM and
-    comm-hidden records are costed by the distributed layer)."""
+    """Whether a record runs on the single-rank compute stream."""
     if record.category is KernelCategory.COMM:
-        return False
+        return False  # collectives are costed by the distributed layer
     if record.tags and record.tags.get("hidden_by_comm"):
+        # Work overlapped with communication: off the single-rank
+        # critical path (the distributed model checks it still fits).
         return False
     return True
 
@@ -110,28 +112,18 @@ class TraceStructure:
 class TraceCostArrays:
     """Flat per-kernel cost data for one (record list, GPU, policy) key.
 
-    All per-kernel arrays are over the *executable* subsequence (COMM and
-    comm-hidden records excluded), in trace order.  ``exec_idx`` maps each
-    executable kernel back to its position in the full record list.  The
-    GPU-independent fields are views of the shared :attr:`structure`; only
-    ``seconds``/``sec_cumsum``/``limiter_codes`` are GPU-specific.
+    The per-kernel arrays run over the *executable* subsequence (COMM and
+    comm-hidden records excluded), in trace order, aligned with the
+    GPU-independent :attr:`structure` they were costed from (its
+    ``exec_idx`` maps each executable kernel back to its position in the
+    full record list).  Only ``seconds``/``sec_cumsum``/``limiter_codes``
+    are GPU-specific.
     """
 
-    n_records: int
-    exec_idx: np.ndarray           # int64[m]: positions in the record list
+    structure: TraceStructure
     seconds: np.ndarray            # float64[m]: device time per kernel
-    sec_cumsum: np.ndarray         # float64[m]: sequential running sum
-    phase_codes: np.ndarray        # int32[m]: index into phase_names
-    phase_names: Tuple[str, ...]
-    category_codes: np.ndarray     # int8[m]: index into CATEGORY_ORDER
     limiter_codes: np.ndarray      # int8[m]: index into LIMITERS
-    #: Default segment-mark positions over the *full* record list (what
-    #: estimate_step_time used to rebuild with two O(n) scans per call).
-    default_marks: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64))
-    #: The GPU-independent half these arrays were costed from; re-costing
-    #: it for another GpuSpec skips the O(n) record walk entirely.
-    structure: Optional[TraceStructure] = None
+    sec_cumsum: np.ndarray = field(init=False)  # float64[m]: running sum
 
     # Aggregates identical to what the event engine accumulates kernel by
     # kernel (np.bincount adds weights sequentially in input order).
@@ -145,13 +137,15 @@ class TraceCostArrays:
         return int(self.seconds.shape[0])
 
     def __post_init__(self) -> None:
+        self.sec_cumsum = np.cumsum(self.seconds)
         if not self.category_seconds and self.m:
             self._build_aggregates()
 
     def _build_aggregates(self) -> None:
-        cat_sec = np.bincount(self.category_codes, weights=self.seconds,
+        category_codes = self.structure.category_codes
+        cat_sec = np.bincount(category_codes, weights=self.seconds,
                               minlength=len(CATEGORY_ORDER))
-        cat_calls = np.bincount(self.category_codes,
+        cat_calls = np.bincount(category_codes,
                                 minlength=len(CATEGORY_ORDER))
         lim_sec = np.bincount(self.limiter_codes, weights=self.seconds,
                               minlength=len(LIMITERS))
@@ -173,34 +167,32 @@ class TraceCostArrays:
         """
         if not self.m:
             return {}
-        sec = np.bincount(self.phase_codes, weights=self.seconds,
-                          minlength=len(self.phase_names))
-        return {name: float(sec[i])
-                for i, name in enumerate(self.phase_names)}
+        names = self.structure.phase_names
+        sec = np.bincount(self.structure.phase_codes, weights=self.seconds,
+                          minlength=len(names))
+        return {name: float(sec[i]) for i, name in enumerate(names)}
 
     # ------------------------------------------------------------------
     # Persistence (numpy-only payload; no pickled objects)
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        out = {
-            "format": np.array([ARRAYS_FORMAT_VERSION, self.n_records],
+        s = self.structure
+        return {
+            "format": np.array([ARRAYS_FORMAT_VERSION, s.n_records],
                                dtype=np.int64),
-            "exec_idx": self.exec_idx,
+            "exec_idx": s.exec_idx,
             "seconds": self.seconds,
-            "phase_codes": self.phase_codes,
-            "phase_names": np.array(self.phase_names, dtype=np.str_),
-            "category_codes": self.category_codes,
+            "phase_codes": s.phase_codes,
+            "phase_names": np.array(s.phase_names, dtype=np.str_),
+            "category_codes": s.category_codes,
             "limiter_codes": self.limiter_codes,
-            "default_marks": self.default_marks,
+            "default_marks": s.default_marks,
+            "flops": s.flops,
+            "bytes_moved": s.bytes_moved,
+            "dtype_codes": s.dtype_codes,
+            "dtype_names": np.array(s.dtype_names, dtype=np.str_),
+            "tunable_positions": s.tunable_positions,
         }
-        if self.structure is not None:
-            out["flops"] = self.structure.flops
-            out["bytes_moved"] = self.structure.bytes_moved
-            out["dtype_codes"] = self.structure.dtype_codes
-            out["dtype_names"] = np.array(self.structure.dtype_names,
-                                          dtype=np.str_)
-            out["tunable_positions"] = self.structure.tunable_positions
-        return out
 
     @classmethod
     def from_arrays(cls, data: Dict[str, np.ndarray]
@@ -208,41 +200,25 @@ class TraceCostArrays:
         header = data.get("format")
         if header is None or int(header[0]) != ARRAYS_FORMAT_VERSION:
             return None
-        n_records = int(header[1])
-        seconds = np.ascontiguousarray(data["seconds"], dtype=np.float64)
-        exec_idx = data["exec_idx"].astype(np.int64, copy=False)
-        phase_codes = data["phase_codes"].astype(np.int32, copy=False)
-        phase_names = tuple(str(p) for p in data["phase_names"])
-        category_codes = data["category_codes"].astype(np.int8, copy=False)
-        default_marks = data["default_marks"].astype(np.int64, copy=False)
-        structure = None
-        if "flops" in data:
-            structure = TraceStructure(
-                n_records=n_records,
-                exec_idx=exec_idx,
-                flops=data["flops"].astype(np.float64, copy=False),
-                bytes_moved=data["bytes_moved"].astype(np.float64,
-                                                       copy=False),
-                category_codes=category_codes,
-                phase_codes=phase_codes,
-                phase_names=phase_names,
-                dtype_codes=data["dtype_codes"].astype(np.int32, copy=False),
-                dtype_names=tuple(str(d) for d in data["dtype_names"]),
-                tunable_positions=data["tunable_positions"].astype(
-                    np.int64, copy=False),
-                default_marks=default_marks,
-            )
+        structure = TraceStructure(
+            n_records=int(header[1]),
+            exec_idx=data["exec_idx"].astype(np.int64, copy=False),
+            flops=data["flops"].astype(np.float64, copy=False),
+            bytes_moved=data["bytes_moved"].astype(np.float64, copy=False),
+            category_codes=data["category_codes"].astype(np.int8,
+                                                         copy=False),
+            phase_codes=data["phase_codes"].astype(np.int32, copy=False),
+            phase_names=tuple(str(p) for p in data["phase_names"]),
+            dtype_codes=data["dtype_codes"].astype(np.int32, copy=False),
+            dtype_names=tuple(str(d) for d in data["dtype_names"]),
+            tunable_positions=data["tunable_positions"].astype(
+                np.int64, copy=False),
+            default_marks=data["default_marks"].astype(np.int64, copy=False),
+        )
         return cls(
-            n_records=n_records,
-            exec_idx=exec_idx,
-            seconds=seconds,
-            sec_cumsum=np.cumsum(seconds),
-            phase_codes=phase_codes,
-            phase_names=phase_names,
-            category_codes=category_codes,
-            limiter_codes=data["limiter_codes"].astype(np.int8, copy=False),
-            default_marks=default_marks,
             structure=structure,
+            seconds=np.ascontiguousarray(data["seconds"], dtype=np.float64),
+            limiter_codes=data["limiter_codes"].astype(np.int8, copy=False),
         )
 
 
@@ -377,18 +353,8 @@ def cost_structure(structure: TraceStructure,
             seconds[k] = hit[0]
             limiters[k] = hit[1]
 
-    return TraceCostArrays(
-        n_records=structure.n_records,
-        exec_idx=structure.exec_idx,
-        seconds=seconds,
-        sec_cumsum=np.cumsum(seconds),
-        phase_codes=structure.phase_codes,
-        phase_names=structure.phase_names,
-        category_codes=structure.category_codes,
-        limiter_codes=limiters,
-        default_marks=structure.default_marks,
-        structure=structure,
-    )
+    return TraceCostArrays(structure=structure, seconds=seconds,
+                           limiter_codes=limiters)
 
 
 def compute_cost_arrays(records: Sequence[KernelRecord],
@@ -415,12 +381,6 @@ def compute_cost_arrays(records: Sequence[KernelRecord],
 #: trace).
 _ARRAY_CACHE = register_cache(LruCache(capacity=96, name="cost-arrays"))
 
-#: Structures are keyed by the partitioned-trace identity alone: every
-#: GPU/autotune variant of the same records shares one entry, so a GPU
-#: sweep re-costs without re-walking ~150k records.
-_STRUCTURE_CACHE = register_cache(LruCache(capacity=32,
-                                           name="trace-structures"))
-
 
 def cost_cache_material(trace_material: str, gpu, autotune: bool) -> str:
     """Key material for one cost-array entry: the trace identity plus
@@ -437,21 +397,20 @@ def trace_cost_arrays(records: Sequence[KernelRecord],
                       cache_key: Optional[Tuple] = None,
                       store_material: Optional[str] = None,
                       store: Optional[TraceCacheStore] = None,
-                      structure_key: Optional[Hashable] = None
+                      structure: Optional[TraceStructure] = None
                       ) -> TraceCostArrays:
     """Cost arrays for ``records``, cached in memory and (optionally) on
     disk.
 
     ``cache_key`` enables the in-memory LRU; ``store_material`` enables the
-    persistent store; ``structure_key`` (the records identity *without* the
-    GPU/autotune half) enables the shared structure cache, so a cost-array
-    miss that only changed the GPU re-costs the cached structure instead of
-    re-walking the records.  Callers that cannot produce a stable identity
+    persistent store.  Passing the records' already-extracted ``structure``
+    turns a miss that only changed the GPU into a re-costing instead of a
+    re-walk of the records.  Callers that cannot produce a stable identity
     (ad hoc record lists) pass none of them and pay one evaluation.
     """
     if cache_key is not None:
         cached = _ARRAY_CACHE.get(cache_key)
-        if cached is not None and cached.n_records == len(records):
+        if cached is not None and cached.structure.n_records == len(records):
             return cached
 
     arrays: Optional[TraceCostArrays] = None
@@ -460,34 +419,19 @@ def trace_cost_arrays(records: Sequence[KernelRecord],
         payload = cache_store.get_arrays(store_material)
         if payload is not None:
             arrays = TraceCostArrays.from_arrays(payload)
-            if arrays is not None and arrays.n_records != len(records):
+            if (arrays is not None
+                    and arrays.structure.n_records != len(records)):
                 arrays = None  # stale entry for different-shaped records
 
     fresh = arrays is None
     if fresh:
-        structure = None
-        if structure_key is not None:
-            structure = _STRUCTURE_CACHE.get(structure_key)
-            if structure is not None and structure.n_records != len(records):
-                structure = None
-        arrays = compute_cost_arrays(records, cost_model,
-                                     structure=structure)
-
-    if structure_key is not None and arrays.structure is not None \
-            and structure_key not in _STRUCTURE_CACHE:
-        _STRUCTURE_CACHE.put(structure_key, arrays.structure)
+        arrays = compute_cost_arrays(records, cost_model, structure=structure)
     if cache_key is not None:
         _ARRAY_CACHE.put(cache_key, arrays)
     if fresh and store_material is not None:
-        cache_store = store if store is not None else default_store()
         cache_store.put_arrays(store_material, arrays.to_arrays())
     return arrays
 
 
 def clear_cost_cache() -> None:
     _ARRAY_CACHE.clear()
-    _STRUCTURE_CACHE.clear()
-
-
-def cost_cache_stats():
-    return _ARRAY_CACHE.stats

@@ -120,9 +120,11 @@ class TestCli:
         assert main(["fig5"]) == 0
         assert "non-blocking" in capsys.readouterr().out
 
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            main(["nope"])
+    def test_unknown(self, capsys):
+        assert main(["nope"]) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown experiment 'nope'" in captured.err
+        assert "fig7" in captured.err and not captured.out
 
 
 class TestTraceCli:

@@ -76,9 +76,10 @@ class TestStoreRoundTrip:
         store.put_arrays("ak", arrays.to_arrays())
         reloaded = TraceCostArrays.from_arrays(store.get_arrays("ak"))
         np.testing.assert_array_equal(reloaded.seconds, arrays.seconds)
-        np.testing.assert_array_equal(reloaded.exec_idx, arrays.exec_idx)
-        np.testing.assert_array_equal(reloaded.default_marks,
-                                      arrays.default_marks)
+        np.testing.assert_array_equal(reloaded.structure.exec_idx,
+                                      arrays.structure.exec_idx)
+        np.testing.assert_array_equal(reloaded.structure.default_marks,
+                                      arrays.structure.default_marks)
         assert reloaded.category_seconds == arrays.category_seconds
         assert reloaded.limiter_seconds == arrays.limiter_seconds
 

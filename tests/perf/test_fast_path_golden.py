@@ -6,17 +6,16 @@ of policies, dispatch regimes, slowdowns, and segment-mark shapes.  Any
 drift here invalidates the fast path's contract (and fails ``repro bench``).
 """
 
-import os
-
 import pytest
 
 from repro.distributed.dap import partition_step
 from repro.hardware.gpu import get_gpu
 from repro.hardware.roofline import CostModel
 from repro.model.config import AlphaFoldConfig, KernelPolicy
-from repro.perf.bench import breakdowns_equal
-from repro.perf.step_time import (SIM_ENGINE_ENV, default_segment_marks,
-                                  resolve_engine, simulate_step)
+from repro.perf import step_time
+from repro.perf.bench import breakdowns_equal, estimates_equal
+from repro.perf.scaling import Scenario, estimate_step_time
+from repro.perf.step_time import default_segment_marks, simulate_step
 from repro.perf.trace_builder import build_step_trace
 from repro.perf.vector_cost import compute_cost_arrays
 from repro.sim.des import Timeline
@@ -115,22 +114,28 @@ class TestGoldenGrid:
 
 
 class TestEngineResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV, "event")
-        assert resolve_engine("fast") == "fast"
-
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV, "event")
-        assert resolve_engine(None) == "event"
-
-    def test_auto_means_fast(self, monkeypatch):
-        monkeypatch.delenv(SIM_ENGINE_ENV, raising=False)
-        assert resolve_engine(None) == "fast"
-        assert resolve_engine("auto") == "fast"
-
-    def test_unknown_engine_rejected(self, monkeypatch):
+    def test_unknown_engine_rejected(self, tiny_traces):
+        records = tiny_traces["scalefold"]
         with pytest.raises(ValueError, match="engine"):
-            resolve_engine("warp")
-        monkeypatch.setenv(SIM_ENGINE_ENV, "warp")
+            simulate_step(records, get_gpu("A100"), engine="auto")
         with pytest.raises(ValueError, match="engine"):
-            resolve_engine(None)
+            estimate_step_time(Scenario(), engine="warp")
+
+    def test_event_after_memoized_fast_runs_event_engine(self, monkeypatch):
+        scenario = Scenario(policy=KernelPolicy.scalefold(checkpointing=False),
+                            gpu="H100", dap_n=2, dp_degree=2,
+                            workload="transformer")
+        fast = estimate_step_time(scenario)
+        assert estimate_step_time(scenario) is fast  # memoized
+        calls = []
+        event_engine = step_time._simulate_step_event
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return event_engine(*args, **kwargs)
+
+        monkeypatch.setattr(step_time, "_simulate_step_event", spy)
+        event = estimate_step_time(scenario, engine="event")
+        assert len(calls) == 1
+        assert event is not fast
+        assert estimates_equal(event, fast)

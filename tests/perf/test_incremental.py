@@ -18,6 +18,7 @@ from repro.framework import dtypes
 from repro.framework.caching import cache_registry
 from repro.framework.trace_io import default_store
 from repro.model.config import KernelPolicy
+from repro.perf import scaling
 from repro.perf.bench import estimates_equal
 from repro.perf.scaling import (Scenario, clear_estimate_cache,
                                 clear_partition_cache, estimate_step_time)
@@ -36,8 +37,27 @@ def _base() -> Scenario:
                     dp_degree=8)
 
 
+def _partition_entries():
+    """Every cached DAP partition with the shard mask and structure it
+    holds (``get`` of a cached key only counts a hit, never a miss)."""
+    entries = {}
+    for key in scaling._DAP_CACHE:
+        part = scaling._DAP_CACHE.get(key)
+        entries[key] = (part, part.shardable, part.structure)
+    return entries
+
+
+def _kept(partitions) -> bool:
+    """Whether the partition cache still holds exactly ``partitions``, each
+    with the same mask and structure objects (nothing rebuilt)."""
+    now = _partition_entries()
+    return now.keys() == partitions.keys() and all(
+        a is b for key in now for a, b in zip(now[key], partitions[key]))
+
+
 def _delta_counters(base: Scenario, **changes):
-    """Build counts + partition-cache misses incurred by one knob delta.
+    """Build counts + cache misses incurred by one knob delta, and the
+    partition entries cached before it.
 
     Warms ``base`` from scratch (derived caches cleared first so earlier
     tests cannot pre-seed the segments under measurement), drops only the
@@ -49,11 +69,12 @@ def _delta_counters(base: Scenario, **changes):
     estimate_step_time(base)
     clear_estimate_cache()
     reset_build_counters()
+    partitions = _partition_entries()
     before = {name: st.misses for name, st in cache_registry().items()}
     estimate_step_time(dataclasses.replace(base, **changes))
     after = {name: st.misses for name, st in cache_registry().items()}
     misses = {name: after[name] - before.get(name, 0) for name in after}
-    return build_counters(), misses
+    return build_counters(), misses, partitions
 
 
 RANK_DELTAS = [
@@ -68,23 +89,26 @@ class TestPerKnobInvalidation:
     @pytest.mark.parametrize("changes", RANK_DELTAS,
                              ids=lambda c: next(iter(c)))
     def test_rank_knobs_reuse_every_segment(self, changes):
-        counters, misses = _delta_counters(_base(), **changes)
+        counters, misses, partitions = _delta_counters(_base(), **changes)
         assert counters["structure_builds"] == 0
         assert counters["cost_builds"] == 0
         assert misses.get("dap-partitions", 0) == 0
-        assert misses.get("shard-masks", 0) == 0
+        assert _kept(partitions)  # same mask and structure
         assert misses.get("step-traces", 0) == 0
 
     def test_gpu_knob_rebuilds_only_the_cost_segment(self):
-        counters, misses = _delta_counters(_base(), gpu="A100")
+        counters, misses, partitions = _delta_counters(_base(), gpu="A100")
         assert counters["structure_builds"] == 0  # trace walk reused
         assert counters["cost_builds"] == 1       # seconds re-priced
         assert misses.get("dap-partitions", 0) == 0
-        assert misses.get("shard-masks", 0) == 0
+        assert len(partitions) == 1
+        assert all(structure is not None
+                   for _, _, structure in partitions.values())
+        assert _kept(partitions)  # same mask and structure
         assert misses.get("step-traces", 0) == 0
 
     def test_dap_knob_rebuilds_partition_and_below(self):
-        counters, misses = _delta_counters(_base(), dap_n=4)
+        counters, misses, _ = _delta_counters(_base(), dap_n=4)
         assert misses.get("dap-partitions", 0) == 1
         assert counters["structure_builds"] == 1  # new record stream
         assert counters["cost_builds"] == 1
@@ -94,7 +118,7 @@ class TestPerKnobInvalidation:
         base = _base()
         bf16 = dataclasses.replace(
             base, policy=base.policy.replace(dtype=dtypes.bfloat16))
-        counters, misses = _delta_counters(base, policy=bf16.policy)
+        counters, misses, _ = _delta_counters(base, policy=bf16.policy)
         assert misses.get("step-traces", 0) >= 1
         assert counters["structure_builds"] >= 1
         assert counters["cost_builds"] >= 1

@@ -9,8 +9,9 @@ from repro.hardware import A100, H100
 from repro.model.config import KernelPolicy
 from repro.perf.profiler import (key_operation_analysis, module_time_shares,
                                  table1_breakdown)
-from repro.perf.scaling import (LADDER_LABELS, Scenario, barrier_breakdown,
-                                estimate_step_time, optimization_ladder)
+from repro.perf.scaling import (LADDER_LABELS, Scenario, _scenario_key,
+                                barrier_breakdown, estimate_step_time,
+                                optimization_ladder)
 
 
 class TestTable1:
@@ -90,6 +91,24 @@ class TestScenario:
                       gc_disabled=True, dap_n=4)
         label = sc.label()
         assert "DAP-4" in label and "graph" in label and "bf16" in label
+
+    def test_memo_key_covers_every_field(self):
+        base = Scenario()
+        assert _scenario_key(base) == _scenario_key(Scenario())
+        other = {"policy": base.policy.replace(batched_gemm=True),
+                 "gpu": "A100", "workload": "transformer"}
+        for f in dataclasses.fields(Scenario):
+            value = getattr(base, f.name)
+            if f.name in other:
+                changed = other[f.name]
+            elif isinstance(value, bool):
+                changed = not value
+            elif isinstance(value, (int, float)):
+                changed = value + 1
+            else:
+                raise AssertionError(f"no changed value for Scenario.{f.name}")
+            key = _scenario_key(dataclasses.replace(base, **{f.name: changed}))
+            assert key != _scenario_key(base), f.name
 
 
 class TestEstimates:

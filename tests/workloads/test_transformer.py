@@ -12,8 +12,8 @@ from repro.hardware import CostModel
 from repro.hardware.gpu import get_gpu
 from repro.model.config import KernelPolicy
 from repro.perf.bench import breakdowns_equal, estimates_equal
-from repro.perf.scaling import Scenario, clear_estimate_cache, estimate_step_time
-from repro.perf.step_time import SIM_ENGINE_ENV, simulate_step
+from repro.perf.scaling import Scenario, estimate_step_time
+from repro.perf.step_time import simulate_step
 from repro.perf.time_to_train import mlperf_time_to_train
 from repro.perf.trace_builder import build_step_trace, trace_key
 from repro.workloads import (TransformerConfig, TransformerLoss,
@@ -89,16 +89,12 @@ def test_step_sim_fast_event_parity(small_step):
     assert breakdowns_equal(event, fast)
 
 
-def test_multirank_estimate_fast_event_parity(monkeypatch):
+def test_multirank_estimate_fast_event_parity():
     scenario = Scenario(policy=KernelPolicy.scalefold(checkpointing=False),
                         gpu="H100", dap_n=2, dp_degree=2,
                         workload="transformer")
-    monkeypatch.setenv(SIM_ENGINE_ENV, "event")
-    clear_estimate_cache()
-    event = estimate_step_time(scenario)
-    monkeypatch.setenv(SIM_ENGINE_ENV, "fast")
-    clear_estimate_cache()
-    fast = estimate_step_time(scenario)
+    event = estimate_step_time(scenario, engine="event")
+    fast = estimate_step_time(scenario, engine="fast")
     assert estimates_equal(event, fast)
     assert fast.total_s > 0
     assert fast.dap_comm_s > 0  # the TP all-reduces are in the estimate
