@@ -8,7 +8,8 @@ reference; prior art only scaled to 512 GPUs, ScaleFold to 2080.
 from conftest import run_once
 
 from repro.core.experiments import run_fig10
-from repro.mlperf.benchmark import MlperfRunConfig, run_benchmark
+from repro.observability.runlog import RunLogger, mllog_line
+from repro.perf.time_to_train import mlperf_time_to_train
 
 
 class TestFig10:
@@ -28,16 +29,18 @@ class TestFig10:
 
 class TestMlperfHarness:
     def test_full_benchmark_run_with_logging(self, benchmark):
+        log = RunLogger(clock=lambda: 0.0)
         result = run_once(
             benchmark,
-            lambda: run_benchmark(MlperfRunConfig(scalefold=True,
-                                                  async_eval=True)))
-        print(f"\nMLPerf run: {result.time_to_train_minutes:.2f} min, "
-              f"{result.steps:.0f} steps, final lDDT "
-              f"{result.final_lddt:.4f}")
-        for line in result.logger.lines()[:3]:
-            print(line)
-        assert result.converged
-        assert 4.0 < result.time_to_train_minutes < 11.0
-        assert {e.key for e in result.logger.entries} >= {
+            lambda: mlperf_time_to_train(scalefold=True, async_eval=True,
+                                         run_logger=log))
+        evals = log.find("eval_accuracy")
+        print(f"\nMLPerf run: {result.total_minutes:.2f} min, "
+              f"{result.phases[0].steps:.0f} steps, final lDDT "
+              f"{evals[-1]['value']:.4f}")
+        for entry in log.entries[:3]:
+            print(mllog_line(entry))
+        assert log.find("status")[0]["value"] == "success"
+        assert 4.0 < result.total_minutes < 11.0
+        assert {e["key"] for e in log.entries} >= {
             "run_start", "run_stop", "eval_accuracy", "status"}

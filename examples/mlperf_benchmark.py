@@ -15,36 +15,38 @@ except ModuleNotFoundError:  # standalone run from a source checkout
     import sys
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.mlperf.benchmark import MlperfRunConfig, run_benchmark
+from repro.observability.runlog import RunLogger, mllog_line
+from repro.perf.time_to_train import mlperf_time_to_train
 
 
 def main() -> None:
-    configs = [
+    runs = [
         ("MLPerf reference (256 H100, eager fp32, sync eval)",
-         MlperfRunConfig(scalefold=False, n_gpus=256)),
+         dict(scalefold=False, n_gpus=256)),
         ("ScaleFold, sync eval (2048 H100)",
-         MlperfRunConfig(scalefold=True, async_eval=False, n_gpus=2048)),
+         dict(scalefold=True, async_eval=False, n_gpus=2048)),
         ("ScaleFold, async eval (2080 H100)  [paper: 7.51 min]",
-         MlperfRunConfig(scalefold=True, async_eval=True, n_gpus=2080)),
+         dict(scalefold=True, async_eval=True, n_gpus=2080)),
     ]
     results = []
     print("MLPerf HPC v3.0 OpenFold benchmark (simulated)")
     print("=" * 72)
-    for label, config in configs:
-        result = run_benchmark(config)
+    for label, kwargs in runs:
+        log = RunLogger()
+        result = mlperf_time_to_train(run_logger=log, **kwargs)
         results.append(result)
-        status = "converged" if result.converged else "FAILED"
+        phase = result.phases[0]
         print(f"  {label}")
-        print(f"    time-to-train {result.time_to_train_minutes:6.2f} min  "
-              f"({result.steps:.0f} steps x {result.step_seconds:.3f}s, "
-              f"final lDDT {result.final_lddt:.4f}, {status})")
-    speedup = results[0].time_to_train_minutes / results[-1].time_to_train_minutes
+        print(f"    time-to-train {result.total_minutes:6.2f} min  "
+              f"({phase.steps:.0f} steps x {phase.step_seconds:.3f}s, "
+              f"final lDDT {result.curve[-1].lddt:.4f}, "
+              f"{log.find('status')[0]['value']})")
+    speedup = results[0].total_minutes / results[-1].total_minutes
     print(f"\n  ScaleFold vs reference: {speedup:.1f}x  (paper: 6x)")
 
     print("\nMLLOG output of the winning run (first/last lines):")
-    lines = results[-1].logger.lines()
-    for line in lines[:4] + ["..."] + lines[-3:]:
-        print("  " + line)
+    lines = [mllog_line(entry) for entry in log.entries]
+    print("\n".join(lines[:4] + ["..."] + lines[-3:]))
 
 
 if __name__ == "__main__":

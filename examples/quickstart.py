@@ -68,9 +68,9 @@ def simulate_scalefold() -> None:
               f"comm {est.dap_comm_s:.3f}s, imbalance {est.imbalance_s:.3f}s")
 
     run = ScaleFold.scalefold().mlperf_run()
-    print(f"  MLPerf HPC OpenFold: {run.time_to_train_minutes:.2f} min "
+    print(f"  MLPerf HPC OpenFold: {run.total_minutes:.2f} min "
           f"on 2080 H100s (paper: 7.51 min), "
-          f"final lDDT {run.final_lddt:.3f}")
+          f"final lDDT {run.curve[-1].lddt:.3f}")
 
     pretrain = ScaleFold.scalefold().pretraining_sim()
     print(f"  Pretraining from scratch: {pretrain.total_hours:.2f} hours "

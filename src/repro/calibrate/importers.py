@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, IO, Iterable, List, Optional, Tuple, Union
 
 from ..framework.tracer import KernelCategory
+from ..observability.runlog import read_run_log
 from .measure import TimingSample
 
 #: chrome-trace ``cat`` / args category values -> sample kinds.
@@ -188,20 +189,9 @@ class RunlogImport:
 
 def _iter_runlog(source: Union[str, IO[str], Iterable[Dict[str, object]]]
                  ) -> Iterable[Dict[str, object]]:
-    if isinstance(source, str):
-        with open(source) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-    elif hasattr(source, "read"):
-        for line in source:  # type: ignore[union-attr]
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-    else:
-        for entry in source:
-            yield entry
+    if isinstance(source, str) or hasattr(source, "read"):
+        return read_run_log(source)  # type: ignore[arg-type]
+    return source
 
 
 def import_runlog(source: Union[str, IO[str], Iterable[Dict[str, object]]]

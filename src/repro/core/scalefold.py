@@ -22,12 +22,13 @@ from typing import Dict, Optional
 from ..datapipe.samples import SyntheticProteinDataset
 from ..framework.module import meta_build
 from ..hardware.gpu import get_gpu
-from ..mlperf.benchmark import MlperfRunConfig, MlperfRunResult, run_benchmark
 from ..model.alphafold import AlphaFold
 from ..model.config import AlphaFoldConfig, KernelPolicy
+from ..observability.runlog import RunLogger
 from ..perf.profiler import Table1, table1_breakdown
 from ..perf.scaling import Scenario, StepEstimate, estimate_step_time
-from ..perf.time_to_train import TttResult, pretraining_time_to_train
+from ..perf.time_to_train import (TttResult, mlperf_time_to_train,
+                                  pretraining_time_to_train)
 from ..perf.trace_builder import StepTrace, build_step_trace
 from ..train.optimizer import OptimizerConfig
 from ..train.trainer import TrainResult, Trainer
@@ -108,12 +109,14 @@ class ScaleFold:
     # ------------------------------------------------------------------
     # Cluster-scale simulations
     # ------------------------------------------------------------------
-    def mlperf_run(self, async_eval: bool = True,
-                   n_gpus: int = 2080) -> MlperfRunResult:
-        config = MlperfRunConfig(
+    def mlperf_run(self, async_eval: bool = True, n_gpus: int = 2080,
+                   run_logger: Optional[RunLogger] = None) -> TttResult:
+        """MLPerf HPC OpenFold time-to-train (Figure 10) of this config;
+        ``run_logger`` receives the run's MLPerf events."""
+        return mlperf_time_to_train(
+            scalefold=self.config.policy.fused_mha, async_eval=async_eval,
             n_gpus=n_gpus, gpu=self.config.scenario.gpu,
-            scalefold=self.config.policy.fused_mha, async_eval=async_eval)
-        return run_benchmark(config)
+            run_logger=run_logger)
 
     def pretraining_sim(self) -> TttResult:
         return pretraining_time_to_train(

@@ -11,8 +11,9 @@ the same kind of artifacts:
   module scope tree) and of DES :class:`~repro.sim.des.Timeline` interval
   logs (one track per rank, collectives and data stalls as flow events);
 * :mod:`repro.observability.runlog` — an MLPerf-``mllog``-style structured
-  event logger (JSON lines with run/epoch/step/eval events) wired into the
-  numeric trainer and the cluster simulator.
+  event logger (JSON lines with run/epoch/step/eval events, renderable as
+  ``:::MLLOG`` lines) wired into the numeric trainer, the cluster simulator
+  and the MLPerf time-to-train model.
 
 The per-scope flame rollup lives next to the other trace analyses in
 :func:`repro.perf.profiler.scope_flame`; the ``repro trace`` CLI subcommand
@@ -22,7 +23,8 @@ fronts all three.
 from .chrome_trace import (ChromeTrace, fleet_to_chrome,
                            kernel_trace_to_chrome, timeline_to_chrome,
                            write_chrome_trace)
-from .runlog import RunLogger, read_run_log
+from .runlog import (RunLogger, mllog_line, parse_mllog_line,
+                     read_run_log)
 
 __all__ = [
     "ChromeTrace",
@@ -31,5 +33,7 @@ __all__ = [
     "timeline_to_chrome",
     "write_chrome_trace",
     "RunLogger",
+    "mllog_line",
+    "parse_mllog_line",
     "read_run_log",
 ]

@@ -3,12 +3,12 @@
 One JSON object per line, each carrying an event ``key`` (``run_start``,
 ``epoch_start``, ``step``, ``eval``, ``run_stop``, ...), a millisecond
 timestamp, an optional scalar ``value`` and free-form ``metadata`` — the
-shape MLPerf compliance checkers consume.  Unlike
-:class:`repro.mlperf.logging.MlLogger` (which reproduces the exact
-``:::MLLOG`` console line format for the benchmark harness), this logger is
-the day-to-day run log: file- or stream-backed, usable with a *simulated*
-clock so the cluster simulator's events carry simulation time, and paired
-with a reader for post-hoc analysis.
+shape MLPerf compliance checkers consume.  The logger is file-, stream- or
+memory-backed and takes an injectable clock, so the cluster simulator and
+the MLPerf time-to-train model log *simulated* time.  :func:`mllog_line`
+renders an entry as MLPerf's ``:::MLLOG`` console line and
+:func:`parse_mllog_line` reads one back; :func:`read_run_log` parses a
+JSONL log for post-hoc analysis.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ EVAL = "eval"
 FAULT = "fault"
 RECOVERY = "recovery"
 CHECKPOINT = "checkpoint"
+
+#: Prefix of every line in MLPerf's console log format.
+MLLOG_PREFIX = ":::MLLOG"
 
 
 class RunLogger:
@@ -122,10 +125,41 @@ class RunLogger:
         self.close()
 
 
-def read_run_log(path: str) -> Iterator[Dict[str, Any]]:
-    """Parse a JSONL run log back into event dicts."""
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+def read_run_log(source: Union[str, IO[str]]) -> Iterator[Dict[str, Any]]:
+    """Parse a JSONL run log (a path or an open text handle) into events."""
+    if isinstance(source, str):
+        with open(source) as handle:
+            yield from read_run_log(handle)
+        return
+    for line in source:
+        line = line.strip()
+        if line:
+            yield json.loads(line)
+
+
+def _mllog_event_type(key: str) -> str:
+    if key.endswith("_start"):
+        return "INTERVAL_START"
+    if key.endswith("_stop"):
+        return "INTERVAL_END"
+    return "POINT_IN_TIME"
+
+
+def mllog_line(entry: Dict[str, Any]) -> str:
+    """Render a :class:`RunLogger` entry as an MLPerf ``:::MLLOG`` line.
+
+    The event type follows from the key: ``*_start`` opens an interval,
+    ``*_stop`` closes one, and any other key is a point in time.
+    """
+    payload = dict(entry, namespace="",
+                   event_type=_mllog_event_type(entry["key"]))
+    return f"{MLLOG_PREFIX} {json.dumps(payload, sort_keys=True)}"
+
+
+def parse_mllog_line(line: str) -> Dict[str, Any]:
+    """Parse an ``:::MLLOG`` line back into a :class:`RunLogger` entry."""
+    if not line.startswith(MLLOG_PREFIX):
+        raise ValueError(f"not an MLLOG line: {line[:40]!r}")
+    payload = json.loads(line[len(MLLOG_PREFIX):])
+    return {field: payload[field]
+            for field in ("key", "value", "time_ms", "metadata")}

@@ -8,23 +8,9 @@ either the model or the analysis drifted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from ..model.config import AlphaFoldConfig
-
-
-@dataclass
-class ModuleFlops:
-    """Analytic forward-pass FLOPs of one module family."""
-
-    name: str
-    flops: float
-    count: int = 1
-
-    @property
-    def total(self) -> float:
-        return self.flops * self.count
 
 
 def _attention_flops(rows: int, length: int, c_in: int, c_hidden: int,

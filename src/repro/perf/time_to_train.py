@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..hardware.gpu import get_gpu
 from ..model.config import KernelPolicy
+from ..observability.runlog import RunLogger
 from ..sim.faults import (CheckpointPolicy, CheckpointSweep, FaultConfig,
                           FaultTimeEstimate, checkpoint_write_seconds,
                           expected_run_seconds, optimal_checkpoint_interval,
@@ -26,7 +27,7 @@ from ..sim.faults import (CheckpointPolicy, CheckpointSweep, FaultConfig,
 from ..train.convergence import (ConvergenceModel, CurvePoint, TrainingPhase,
                                  simulate_curve)
 from ..train.evaluation import EvalConfig, EvalOverhead, evaluation_overhead
-from ..workloads import DEFAULT_WORKLOAD, get_workload
+from ..workloads import DEFAULT_WORKLOAD, Workload, get_workload
 from .scaling import Scenario, estimate_many, estimate_step_time
 
 #: Paper: "~2 minutes initialization and compilation overhead".
@@ -114,7 +115,8 @@ def mlperf_time_to_train(scalefold: bool = True, async_eval: bool = True,
                          eval_config: Optional[EvalConfig] = None,
                          convergence: Optional[ConvergenceModel] = None,
                          step_seconds_override: Optional[float] = None,
-                         workload: str = DEFAULT_WORKLOAD
+                         workload: str = DEFAULT_WORKLOAD,
+                         run_logger: Optional[RunLogger] = None
                          ) -> TttResult:
     """The MLPerf-style benchmark run (Figure 10 for ``alphafold``).
 
@@ -122,7 +124,10 @@ def mlperf_time_to_train(scalefold: bool = True, async_eval: bool = True,
     on batch-size GPUs (DP-only), synchronous evaluation.  Other workloads
     supply their own batch size, quality target, resume point and
     convergence curve via the registry, so the same composition prices a
-    transformer benchmark run.
+    transformer benchmark run.  With ``run_logger``, the run's MLPerf
+    events (``init_start`` ... ``run_stop``, one ``eval_accuracy`` per
+    curve point) are written at simulated times; render them with
+    :func:`repro.observability.runlog.mllog_line`.
     """
     wl = get_workload(workload)
     model = convergence or wl.convergence()
@@ -162,8 +167,43 @@ def mlperf_time_to_train(scalefold: bool = True, async_eval: bool = True,
                            [TrainingPhase(batch, None, wl.mlperf_target)],
                            eval_interval=eval_cfg.eval_every_steps,
                            start_samples=wl.mlperf_start_samples)
-    return TttResult(label=label, init_seconds=init, phases=[phase],
-                     eval_overheads=[overhead], curve=curve)
+    result = TttResult(label=label, init_seconds=init, phases=[phase],
+                       eval_overheads=[overhead], curve=curve)
+    if run_logger is not None:
+        _log_mlperf_run(run_logger, result, wl)
+    return result
+
+
+def _log_mlperf_run(log: RunLogger, result: TttResult, wl: Workload
+                    ) -> None:
+    """Write ``result`` to ``log`` as an MLPerf run, at simulated seconds.
+
+    The log's clock is rebound to the simulated run while the events are
+    written and restored afterwards, even if writing fails.
+    """
+    now = 0.0
+    saved, log.clock = log.clock, lambda: now
+    try:
+        log.event("submission_benchmark",
+                  "openfold" if wl.name == DEFAULT_WORKLOAD else wl.name)
+        log.event("global_batch_size", result.phases[0].batch_size)
+        log.event("init_start")
+        now = result.init_seconds
+        log.event("init_stop")
+        log.event("run_start")
+        for point, (hours, lddt) in zip(result.curve,
+                                        curve_with_walltime(result)):
+            # The curve evaluates on a fixed cadence, so its last point
+            # can fall after the closed-form finish.
+            now = min(hours * 3600.0, result.total_seconds)
+            log.event("eval_accuracy", lddt, step=point.step,
+                      samples=point.samples)
+        now = result.total_seconds
+        log.event("run_stop")
+        reached = result.curve[-1].lddt >= wl.mlperf_target
+        log.event("status", "success" if reached else "aborted")
+    finally:
+        log.clock = saved
 
 
 def pretraining_time_to_train(scalefold: bool = True,

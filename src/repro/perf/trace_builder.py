@@ -23,7 +23,6 @@ meta-build time.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -179,22 +178,6 @@ def trace_is_warm(policy: Optional[KernelPolicy] = None,
     if key in _CACHE:
         return True
     return default_store().has_trace(trace_store_material(key))
-
-
-def build_trace(policy: Optional[KernelPolicy] = None, cfg=None,
-                **kwargs) -> StepTrace:
-    """Deprecated pre-registry entry point (always the alphafold workload).
-
-    .. deprecated::
-        Use :func:`build_step_trace` (optionally with ``workload=...``).
-    """
-    warnings.warn(
-        "trace_builder.build_trace is deprecated; use build_step_trace "
-        "(optionally with workload=...)",
-        DeprecationWarning, stacklevel=2)
-    kwargs.pop("workload", None)
-    return build_step_trace(policy=policy, cfg=cfg, workload="alphafold",
-                            **kwargs)
 
 
 def _from_stored(t: Trace, meta: Optional[dict], policy: KernelPolicy,

@@ -150,7 +150,14 @@ class RequestBroker:
             future=Future(),
             t_submit=time.monotonic(),
         )
-        self._prep_pool.submit(self._prep_one, request)
+        try:
+            self._prep_pool.submit(self._prep_one, request)
+        except RuntimeError:
+            # close() shut the prep pool down after the check above.
+            with self._lock:
+                self._submitted -= 1
+                self._inflight -= 1
+            raise BrokerClosed("broker is closed") from None
         return request.future
 
     # ------------------------------------------------------------------

@@ -144,10 +144,6 @@ def run_cluster_simulation(config: ClusterSimConfig,
     model = convergence or ConvergenceModel()
     rng = np.random.default_rng(config.seed)
     sim = Simulator()
-    saved_clock = None
-    if run_logger is not None:
-        saved_clock = run_logger.clock
-        run_logger.clock = lambda: sim.now
 
     straggler = StragglerModel(
         jitter=CpuJitterConfig(gc_enabled=not config.gc_disabled),
@@ -371,21 +367,26 @@ def run_cluster_simulation(config: ClusterSimConfig,
                                  gpus_per_node=config.gpus_per_node)
         injector.attach(sim, on_fault, stop=lambda: state["done"])
 
-    sim.process(trainer(), name="trainer")
-    sim.run()
-
-    converged = state["converged_at"] is not None
-    # With a fault driver attached, stale race timers can advance ``sim.now``
-    # past the last meaningful event; ``end_time`` tracks the real finish.
-    total = (state["converged_at"] if converged
-             else max(state["end_time"], 0.0))
     if run_logger is not None:
-        run_logger.run_stop(
-            status="success" if converged else "aborted",
-            steps=state["final_step"] if converged else state["step"],
-            total_seconds=float(total),
-            n_faults=len(faults), downtime_s=sum(f.downtime_s for f in faults))
-        run_logger.clock = saved_clock
+        saved_clock, run_logger.clock = run_logger.clock, lambda: sim.now
+    try:
+        sim.process(trainer(), name="trainer")
+        sim.run()
+        converged = state["converged_at"] is not None
+        # With a fault driver attached, stale race timers can advance
+        # ``sim.now`` past the last meaningful event; ``end_time`` tracks
+        # the real finish.
+        total = (state["converged_at"] if converged
+                 else max(state["end_time"], 0.0))
+        if run_logger is not None:
+            run_logger.run_stop(
+                status="success" if converged else "aborted",
+                steps=state["final_step"] if converged else state["step"],
+                total_seconds=float(total), n_faults=len(faults),
+                downtime_s=sum(f.downtime_s for f in faults))
+    finally:
+        if run_logger is not None:
+            run_logger.clock = saved_clock
     return ClusterRunResult(
         total_seconds=float(total),
         steps=state["final_step"] if converged else state["step"],

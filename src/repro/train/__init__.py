@@ -9,7 +9,6 @@ from .evaluation import (EvalConfig, EvalOverhead, eval_pass_seconds,
 from .checkpointing import CheckpointMeta, load_checkpoint, save_checkpoint
 from .graphed import GraphedRunSummary, GraphedStepRecord, GraphedStepRunner
 from .optimizer import AlphaFoldOptimizer, OptimizerConfig, emit_update_trace
-from .step_log import StepLogger, read_step_log, summarize_log
 from .schedule import BatchSizePlan, LrSchedule
 from .trainer import StepRecord, Trainer, TrainResult
 
@@ -22,7 +21,6 @@ __all__ = [
     "AlphaFoldOptimizer", "OptimizerConfig", "emit_update_trace",
     "CheckpointMeta", "load_checkpoint", "save_checkpoint",
     "GraphedRunSummary", "GraphedStepRecord", "GraphedStepRunner",
-    "StepLogger", "read_step_log", "summarize_log",
     "BatchSizePlan", "LrSchedule",
     "StepRecord", "Trainer", "TrainResult",
 ]

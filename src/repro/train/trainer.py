@@ -24,7 +24,6 @@ from ..observability.runlog import RunLogger
 from .evaluation import evaluate_model
 from .optimizer import AlphaFoldOptimizer, OptimizerConfig
 from .schedule import LrSchedule
-from .step_log import StepLogger
 
 
 @dataclass
@@ -126,13 +125,12 @@ class Trainer:
     def fit(self, dataset: SyntheticProteinDataset, steps: int,
             eval_every: int = 0, eval_samples: int = 2,
             accumulate_steps: int = 1,
-            logger: Optional["StepLogger"] = None,
             run_logger: Optional[RunLogger] = None) -> TrainResult:
         """Run ``steps`` optimizer steps over the dataset.
 
-        ``logger`` receives flat per-step metric rows (console table);
         ``run_logger`` receives MLPerf-style structured events
-        (``run_start``/``step``/``eval``/``run_stop``).
+        (``run_start``/``step``/``eval``/``run_stop``); each ``step``
+        carries the loss, its ``loss_<part>`` terms, grad norm and LR.
         """
         result = TrainResult()
         if run_logger is not None:
@@ -153,20 +151,16 @@ class Trainer:
             else:
                 record = self.accumulated_step(batches)
             result.records.append(record)
-            if logger is not None:
-                logger.log(step=record.step, loss=record.loss,
-                           grad_norm=record.grad_norm, lr=record.lr,
-                           **{f"loss_{k}": v for k, v in record.parts.items()})
             if run_logger is not None:
                 run_logger.step(record.step, loss=record.loss,
-                                grad_norm=record.grad_norm, lr=record.lr)
+                                grad_norm=record.grad_norm, lr=record.lr,
+                                **{f"loss_{k}": v
+                                   for k, v in record.parts.items()})
             if eval_every and (i + 1) % eval_every == 0:
                 batches = [make_batch(dataset[j]) for j in range(eval_samples)]
                 metrics = evaluate_model(self.model, batches)
                 metrics["step"] = float(i + 1)
                 result.eval_history.append(metrics)
-                if logger is not None:
-                    logger.log(**metrics)  # carries its own "step" key
                 if run_logger is not None:
                     run_logger.evaluation(
                         i + 1, **{k: v for k, v in metrics.items()

@@ -9,6 +9,8 @@ from repro.cli import main
 from repro.core.experiments import (EXPERIMENTS, ExperimentResult,
                                     run_experiment)
 from repro.core.optimizations import OPTIMIZATIONS, by_key, format_table
+from repro.observability.runlog import RunLogger
+from repro.perf.time_to_train import mlperf_time_to_train
 
 
 class TestRegistry:
@@ -102,8 +104,11 @@ class TestFacade:
         assert not any(p.is_meta for p in model.parameters())
 
     def test_mlperf_run(self):
-        result = ScaleFold.scalefold().mlperf_run()
-        assert result.converged
+        log = RunLogger(clock=lambda: -1.0)
+        result = ScaleFold.scalefold().mlperf_run(run_logger=log)
+        assert result.total_minutes == mlperf_time_to_train().total_minutes
+        assert log.find("status")[0]["value"] == "success"
+        assert log.clock() == -1.0
 
 
 class TestCli:

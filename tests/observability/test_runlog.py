@@ -4,6 +4,8 @@ clocks, and the trainer / cluster-simulation integrations."""
 import io
 import json
 
+import pytest
+
 from repro.datapipe.samples import SyntheticProteinDataset
 from repro.model.config import AlphaFoldConfig, KernelPolicy
 from repro.observability import RunLogger, read_run_log
@@ -65,6 +67,14 @@ class TestClusterIntegration:
         stop = logger.find("run_stop")[0]
         assert stop["value"] == "success" and result.converged
         # The original clock is restored after the run.
+        assert logger.clock() == -1.0
+
+    def test_clock_restored_when_run_fails(self):
+        logger = RunLogger(clock=lambda: -1.0)
+        config = ClusterSimConfig(step_seconds=1.0, max_steps=5,
+                                  eval=EvalConfig(eval_every_steps=0))
+        with pytest.raises(ZeroDivisionError):
+            run_cluster_simulation(config, run_logger=logger)
         assert logger.clock() == -1.0
 
     def test_aborted_run_logged(self):

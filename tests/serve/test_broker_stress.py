@@ -103,3 +103,14 @@ class TestCloseUnderFire:
                 t.join()
 
         assert _detect(body) == []
+
+    def test_submit_that_loses_the_race_to_close_is_rejected(self, stub):
+        config = BrokerConfig(workload="serve-stub", prep_workers=1,
+                              gpu_workers=1)
+        broker = RequestBroker(config)
+        # close() has shut the prep pool down after submit's closed check.
+        broker._prep_pool.shutdown(wait=True)
+        with pytest.raises(BrokerClosed):
+            broker.submit(0)
+        assert broker.stats()["submitted"] == 0
+        broker.close()

@@ -8,10 +8,10 @@ import pytest
 from repro.datapipe.samples import SyntheticProteinDataset, make_batch
 from repro.framework import Module, make_parameter, seed
 from repro.framework import ops
+from repro.observability.runlog import RunLogger, read_run_log
 from repro.train.checkpointing import (CheckpointMeta, load_checkpoint,
                                        save_checkpoint)
 from repro.train.optimizer import AlphaFoldOptimizer, OptimizerConfig
-from repro.train.step_log import StepLogger, read_step_log, summarize_log
 from repro.train.trainer import Trainer
 
 
@@ -139,40 +139,31 @@ class TestGradientAccumulation:
 class TestStepLogging:
     def test_logger_writes_jsonl(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
-        with StepLogger(path, clock=lambda: 123.0) as logger:
-            logger.log(step=1, loss=2.5, grad_norm=0.1)
-            logger.log(step=2, loss=2.0, grad_norm=0.2)
-        entries = list(read_step_log(path))
+        with RunLogger(path, clock=lambda: 0.123) as logger:
+            logger.step(1, loss=2.5, grad_norm=0.1)
+            logger.step(2, loss=2.0, grad_norm=0.2)
+        entries = list(read_run_log(path))
         assert len(entries) == 2
-        assert entries[0]["loss"] == 2.5
-        assert entries[0]["time"] == 123.0
+        assert entries[0]["metadata"]["loss"] == 2.5
+        assert entries[0]["time_ms"] == 123.0
+        with open(path) as handle:  # an open handle parses the same
+            assert list(read_run_log(handle)) == entries
 
     def test_trainer_integration(self, tiny_cfg, tmp_path):
         path = str(tmp_path / "train.jsonl")
         trainer = Trainer(tiny_cfg, rng_seed=0)
         ds = SyntheticProteinDataset(tiny_cfg, size=2)
-        with StepLogger(path) as logger:
-            trainer.fit(ds, steps=3, eval_every=2, logger=logger)
-        entries = list(read_step_log(path))
-        step_entries = [e for e in entries if "loss" in e]
-        eval_entries = [e for e in entries if "avg_lddt_ca" in e]
+        with RunLogger(path) as logger:
+            trainer.fit(ds, steps=3, eval_every=2, run_logger=logger)
+        entries = list(read_run_log(path))
+        step_entries = [e for e in entries if e["key"] == "step"]
+        eval_entries = [e for e in entries if e["key"] == "eval"]
         assert len(step_entries) == 3
         assert len(eval_entries) == 1
-        assert "loss_fape" in step_entries[0]
-
-    def test_summarize(self):
-        entries = [{"loss": 3.0, "grad_norm": 1.0},
-                   {"loss": 1.0, "grad_norm": 3.0}]
-        s = summarize_log(entries)
-        assert s["steps"] == 2
-        assert s["first_loss"] == 3.0
-        assert s["last_loss"] == 1.0
-        assert s["mean_grad_norm"] == 2.0
-
-    def test_summarize_empty(self):
-        assert summarize_log([]) == {"steps": 0}
+        assert "loss_fape" in step_entries[0]["metadata"]
+        assert "avg_lddt_ca" in eval_entries[0]["metadata"]
 
     def test_in_memory_only(self):
-        logger = StepLogger()
-        logger.log(step=1, loss=1.0)
-        assert logger.entries[0]["loss"] == 1.0
+        logger = RunLogger()
+        logger.step(1, loss=1.0)
+        assert logger.entries[0]["metadata"]["loss"] == 1.0

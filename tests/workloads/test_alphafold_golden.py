@@ -11,11 +11,11 @@ import pytest
 
 from repro.hardware import CostModel
 from repro.hardware.gpu import get_gpu
-from repro.model.config import AlphaFoldConfig, KernelPolicy
+from repro.model.config import KernelPolicy
 from repro.perf.bench import golden_scenario
 from repro.perf.scaling import clear_estimate_cache, estimate_step_time
 from repro.perf.step_time import simulate_step
-from repro.perf.trace_builder import build_step_trace, build_trace, trace_key
+from repro.perf.trace_builder import build_step_trace, trace_key
 from repro.workloads import get_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_alphafold.json")
@@ -62,13 +62,3 @@ def test_default_workload_key_unchanged():
     assert trace_key(policy) == trace_key(policy, workload="alphafold")
     assert trace_key(policy)[9] == "alphafold"
 
-
-def test_build_trace_shim_routes_to_alphafold():
-    policy = KernelPolicy.reference()
-    cfg = AlphaFoldConfig.small(policy)
-    with pytest.warns(DeprecationWarning, match="build_step_trace"):
-        legacy = build_trace(policy, cfg=cfg)
-    assert legacy.workload == "alphafold"
-    # Same cache identity as the modern spelling: the very same object.
-    modern = build_step_trace(policy=policy, cfg=cfg, workload="alphafold")
-    assert legacy is modern
