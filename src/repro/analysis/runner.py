@@ -119,11 +119,11 @@ def lint_sched_for(config_name: str = "small", scalefold: bool = False,
 
     recorder = ScheduleRecorder()
     with recorder.recording():
-        # Passing the trace explicitly bypasses the scenario memo cache, so
-        # the rank-level DES actually runs (and gets audited) every time.
+        # The event engine runs the rank-level DES (the closed form has no
+        # barrier or NIC resource to audit), and never reads the memo.
         scenario = Scenario(policy=policy, gpu=gpu_name, dap_n=2, dp_degree=2,
                             imbalance_enabled=False, workload=wl.name)
-        estimate_step_time(scenario, trace=step)
+        estimate_step_time(scenario, trace=step, engine="event")
         run_cluster_simulation(ClusterSimConfig(
             step_seconds=0.5, n_sync_ranks=4, max_steps=12,
             eval=EvalConfig(eval_every_steps=5), target_lddt=2.0))

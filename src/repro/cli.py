@@ -36,6 +36,18 @@ def _workload_choices() -> List[str]:
     return list_workloads()
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a float > 0; ``inf`` is allowed, NaN is not."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number (inf allowed), got {text!r}")
+    return value
+
+
 def _build_profile_trace(config_name: str, scalefold: bool,
                          workload: str = "alphafold"):
     from .model.config import KernelPolicy
@@ -130,7 +142,8 @@ def trace_command(argv: List[str]) -> int:
                                 dap_n=args.dap, dp_degree=args.dp,
                                 imbalance_enabled=False,
                                 workload=args.workload)
-            estimate = estimate_step_time(scenario, trace=step)
+            estimate = estimate_step_time(scenario, trace=step,
+                                          engine="event")
             timeline_to_chrome(estimate.timeline, into=builder)
         builder.write(args.output)
         print(f"wrote {len(builder)} events to {args.output} "
@@ -400,7 +413,7 @@ def optimize_command(argv: List[str]) -> int:
         print(f"wrote {args.bench_out}")
         for name, sp in bench["delta_speedup"].items():
             note = ("" if sp["gated"]
-                    else ", informational: rank-DES-bound workload")
+                    else ", informational: cold estimate not trace-bound")
             print(f"  [{name}] cold full {sp['cold_full_s']:.3f}s, "
                   f"single-knob deltas >= {sp['min_speedup']:.1f}x faster "
                   f"(target {sp['target']:.0f}x{note})")
@@ -433,10 +446,10 @@ def faults_command(argv: List[str]) -> int:
     parser.add_argument("--ranks", type=int, nargs="+", default=[256, 2080],
                         help="total GPU counts to evaluate "
                              "(default: 256 2080)")
-    parser.add_argument("--mtbf-hours", type=float, default=26280.0,
+    parser.add_argument("--mtbf-hours", type=_positive_float, default=26280.0,
                         help="per-rank mean time between faults in hours "
                              "(default: 26280 = 3 years; 'inf' disables)")
-    parser.add_argument("--switch-mtbf-hours", type=float,
+    parser.add_argument("--switch-mtbf-hours", type=_positive_float,
                         default=float("inf"),
                         help="per-switch MTBF for correlated node outages "
                              "(default: inf = disabled)")
@@ -455,7 +468,7 @@ def faults_command(argv: List[str]) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="fault-injection seed (default: 0)")
     parser.add_argument("--gpu", default="H100", help="GPU spec name")
-    parser.add_argument("--step-seconds", type=float, default=None,
+    parser.add_argument("--step-seconds", type=_positive_float, default=None,
                         help="override the modeled step time (skips the "
                              "kernel-level step estimate)")
     parser.add_argument("--no-sweep", action="store_true",
@@ -646,7 +659,8 @@ def serve_command(argv: List[str]) -> int:
                         help="batching max-wait flush timer")
     parser.add_argument("--queue-limit", type=int, default=256,
                         help="admission bound on in-flight requests")
-    parser.add_argument("--mtbf-hours", type=float, default=float("inf"),
+    parser.add_argument("--mtbf-hours", type=_positive_float,
+                        default=float("inf"),
                         help="[fleet] per-worker MTBF; finite values "
                              "enable fault injection (default: inf = off)")
     parser.add_argument("--restart-s", type=float, default=30.0,

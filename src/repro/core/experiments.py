@@ -340,11 +340,12 @@ def run_fig11() -> ExperimentResult:
 # Timing-engine introspection
 # ----------------------------------------------------------------------
 def run_timeline() -> ExperimentResult:
-    """Interval attribution of the simulated step (the unified DES engine).
+    """Interval attribution of the simulated step (the event engine).
 
-    The additive breakdown the other experiments report is *derived* from
-    the rank-0 timeline of the multi-rank simulation; this experiment shows
-    the raw attribution, including the DDP all-reduce time that overlaps
+    The additive breakdown the other experiments report partitions the
+    rank-0 timeline of the multi-rank simulation; this experiment runs the
+    event engine, the only one that records that timeline, and shows the
+    raw attribution, including the DDP all-reduce time that overlaps
     backward compute and therefore never appears in the step total.
     """
     scenarios = [
@@ -358,8 +359,8 @@ def run_timeline() -> ExperimentResult:
     n_steps = N_WARMUP_STEPS + N_MEASURED_STEPS
     rows = []
     for label, scenario in scenarios:
-        est = estimate_step_time(scenario)
-        tags = est.timeline.by_tag(rank=0) if est.timeline else {}
+        est = estimate_step_time(scenario, engine="event")
+        tags = est.timeline.by_tag(rank=0)
         ddp_raw = tags.get("ddp_comm", 0.0) / n_steps
         rows.append({
             "scenario": label,

@@ -40,10 +40,9 @@ DELTA_SPEEDUP_TARGET = 5.0
 
 #: Workloads the delta-speedup gate enforces.  The gate only makes sense
 #: where trace construction dominates a cold estimate (alphafold: ~96% of
-#: ~1.5s).  The transformer trace is tiny and its rank-level DES at
-#: dp=2048 is ~90% of a cold estimate, so caching everything above the
-#: DES is Amdahl-bounded near 1.1x — it is still measured and reported,
-#: just not gated.
+#: ~1.5s).  The transformer trace is tiny, so a cold transformer estimate
+#: costs only a few warm deltas and the ratio says little about the
+#: incremental path — it is still measured and reported, just not gated.
 DELTA_GATED_WORKLOADS = ("alphafold",)
 
 #: Rank-stage knobs used for the delta measurement: each flips exactly one

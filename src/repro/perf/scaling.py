@@ -3,27 +3,30 @@ optimization ladder (Figures 3, 7, 8 of the paper).
 
 :class:`Scenario` describes one training configuration (kernel policy, DAP
 degree, GPU, pipeline and host options).  :func:`estimate_step_time` runs it
-through a two-level discrete-event simulation on
-:class:`repro.sim.des.Simulator`:
+through two simulation levels; ``engine`` selects a closed form or an event
+engine for both, and the event engines are the closed forms' oracles:
 
-1. the **kernel level** (:func:`repro.perf.step_time.simulate_step`) event-
-   simulates the CPU dispatch stream against the GPU compute stream over the
-   DAP-partitioned kernel trace, and reports segment marks at every embedded
-   collective position and phase boundary;
+1. the **kernel level** (:func:`repro.perf.step_time.simulate_step`)
+   simulates the CPU dispatch stream against the GPU compute stream over
+   the DAP-partitioned kernel trace, and reports segment marks at every
+   embedded collective position and phase boundary;
 2. the **rank level** (:func:`_run_distributed_step`) replays those compute
-   segments as one process per DAP rank inside a shared simulator, with DAP
-   collective bundles at their actual trace positions (barrier + transfer on
-   the comm stream), DDP bucket all-reduces launched at their gradient-ready
-   points on a per-rank NIC resource and overlapped with backward, per-rank
-   data-loader queues (:class:`repro.datapipe.sim_pipeline.PipelineFeed`)
-   whose empty-queue waits surface as stalls, per-rank host-jitter clock
-   offsets, and a world-size straggler gate at the gradient sync.
+   segments on every DAP rank, with DAP collective bundles at their actual
+   trace positions (a barrier, then the transfer), DDP bucket all-reduces
+   launched at their gradient-ready points on a per-rank NIC and overlapped
+   with backward, per-rank data-loader queues
+   (:class:`repro.datapipe.sim_pipeline.PipelineFeed`) whose empty-queue
+   waits surface as stalls, per-rank host-jitter clock offsets, and a
+   world-size straggler gate at the gradient sync.  The event engine runs
+   one process per rank on a shared simulator; the closed form
+   (:func:`repro.perf.fast_rank.solve_rank_steps`) solves the same schedule
+   as barrier maxima and a FIFO recursion per NIC.
 
 The familiar additive breakdown (``compute + dap_comm + ddp_exposed +
-imbalance``) is *derived* from the simulated timeline by attributing each
-interval of the rank-0 step to the resource that blocked it — overlap is an
-inspectable simulation artifact (``StepEstimate.timeline``), not a
-hand-tuned subtraction.
+imbalance``) partitions the simulated rank-0 step: every interval is
+attributed to the resource that blocked it, so overlap is a simulation
+artifact, not a hand-tuned subtraction.  ``engine="event"`` estimates also
+record the per-rank intervals (``StepEstimate.timeline``).
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from ..hardware.roofline import CostModel
 from ..model.config import KernelPolicy
 from ..sim.des import Barrier, Event, Process, Resource, Simulator, Timeline
 from ..workloads import DEFAULT_WORKLOAD, Workload, get_workload
+from .fast_rank import STAT_KEYS, Unordered, solve_rank_steps
 from .fast_step import sequential_sum
 from .step_time import check_engine, simulate_step
 from .torchcompile import apply_torch_compile
@@ -136,7 +140,8 @@ class StepEstimate:
     total_s: float
     kernel_count: int
     stall: StallModel
-    timeline: Optional[Timeline] = None  # per-rank interval attribution
+    #: Per-rank interval attribution; only ``engine="event"`` records it.
+    timeline: Optional[Timeline] = None
 
     def as_dict(self) -> Dict[str, float]:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
@@ -198,9 +203,43 @@ def _run_distributed_step(plan: List[_PlanOp],
                           data_workers: int = 8,
                           data_queue_capacity: int = 16,
                           blocking_pipeline: bool = True,
+                          engine: str = "fast",
                           timeline: Optional[Timeline] = None
                           ) -> Dict[str, np.ndarray]:
     """Simulate ``n_steps`` distributed steps over ``n_ranks`` DAP ranks.
+
+    Returns per-(step, rank) arrays that tile each step's wall time (see
+    :data:`repro.perf.fast_rank.STAT_KEYS`).  ``engine="fast"`` solves the
+    schedule in closed form (:func:`repro.perf.fast_rank.solve_rank_steps`)
+    and hands any run it cannot order exactly to the event engine;
+    ``engine="event"`` always runs the event engine, the only one that can
+    record a ``timeline``.
+    """
+    args = (plan, n_ranks, n_steps, buckets, gate_s, rank_delays,
+            prep_series, data_workers, data_queue_capacity, blocking_pipeline)
+    if engine == "fast":
+        if timeline is not None:
+            raise ValueError("only engine='event' records a timeline")
+        try:
+            return solve_rank_steps(*args)
+        except Unordered:
+            pass
+    return _simulate_rank_steps(*args, timeline=timeline)
+
+
+def _simulate_rank_steps(plan: List[_PlanOp],
+                         n_ranks: int,
+                         n_steps: int,
+                         buckets: List[Tuple[float, float]],
+                         gate_s: float,
+                         rank_delays: Optional[np.ndarray],
+                         prep_series: Optional[np.ndarray],
+                         data_workers: int,
+                         data_queue_capacity: int,
+                         blocking_pipeline: bool,
+                         timeline: Optional[Timeline] = None
+                         ) -> Dict[str, np.ndarray]:
+    """The rank-level event engine: one process per rank, shared simulator.
 
     Every rank is one process; all waiting happens on simulator events
     (barriers, queue gets, resource grants), and every simulated second of
@@ -214,8 +253,7 @@ def _run_distributed_step(plan: List[_PlanOp],
     update_start: Optional[int] = next(
         (i for i, op in enumerate(plan) if op.phase == "update"), None)
 
-    keys = ("compute", "dap_comm", "dap_sync", "ddp_wait", "data", "host",
-            "gate", "total")
+    keys = STAT_KEYS
     stats = {k: np.zeros((n_steps, n_ranks)) for k in keys}
     step_extra: Dict[int, float] = {}
 
@@ -413,11 +451,14 @@ def estimate_step_time(scenario: Scenario,
                        trace: Optional[StepTrace] = None,
                        topo: Optional[ClusterTopology] = None,
                        engine: str = "fast") -> StepEstimate:
-    """Simulate one scenario's expected step time (two-level DES).
+    """Simulate one scenario's expected step time (two levels).
 
-    ``engine`` selects the kernel-level simulation (see
-    :func:`repro.perf.step_time.simulate_step`); only ``"fast"`` estimates
-    are memoized, so an ``"event"`` estimate always runs its engine.
+    ``engine`` selects both levels: ``"fast"`` runs the closed forms
+    (:func:`repro.perf.step_time.simulate_step` with ``engine="fast"`` and
+    :func:`repro.perf.fast_rank.solve_rank_steps`), ``"event"`` the event
+    engines, which are their oracles.  Only ``"fast"`` estimates are
+    memoized, so an ``"event"`` estimate always runs its engines; only
+    ``"event"`` estimates record ``StepEstimate.timeline``.
     """
     check_engine(engine)
     cacheable = trace is None and topo is None and engine == "fast"
@@ -502,7 +543,7 @@ def estimate_step_time(scenario: Scenario,
     # whose emergent step time is the trainer's service rate for the data
     # pipeline model ---
     dry = _run_distributed_step(plan, scenario.dap_n, n_steps=2,
-                                buckets=buckets)
+                                buckets=buckets, engine=engine)
     nominal_step = float(dry["total"][-1, 0])
 
     prep = _prep_times(wl, seed=5, n=768)
@@ -544,14 +585,14 @@ def estimate_step_time(scenario: Scenario,
         prep_series = prep
 
     # --- rank level, full run ---
-    timeline = Timeline()
+    timeline = Timeline() if engine == "event" else None
     stats = _run_distributed_step(
         plan, scenario.dap_n, n_steps=n_steps, buckets=buckets,
         gate_s=gate, rank_delays=rank_delays, prep_series=prep_series,
         data_workers=scenario.data_workers,
         data_queue_capacity=scenario.data_queue_capacity,
         blocking_pipeline=not scenario.nonblocking_pipeline,
-        timeline=timeline)
+        engine=engine, timeline=timeline)
 
     window = slice(N_WARMUP_STEPS, None)
 
@@ -592,9 +633,9 @@ def estimate_many(scenarios: Sequence[Scenario],
     (policy, DAP, GPU) combination is costed once no matter how many
     scenarios sweep over it.  Shared inputs (traces and cost arrays) are
     pre-warmed serially to keep concurrent misses from duplicating the
-    expensive meta-build.  The rank-level DES is pure Python, so the win
-    comes from overlapping the numpy/cost phases; workers default to a
-    modest pool.
+    expensive meta-build.  The rank level and the loader model are pure
+    Python, so the win comes from overlapping the numpy cost and trace-load
+    phases; workers default to a modest pool.
     """
     scenarios = list(scenarios)
     if max_workers is None:

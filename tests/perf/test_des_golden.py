@@ -70,12 +70,15 @@ class TestGoldenTwoClock:
         assert graphed.cpu_exposed_s < 0.01 * eager.cpu_exposed_s
 
 
+def _ddp_scenario():
+    return Scenario(policy=KernelPolicy.reference(), gpu="A100", dap_n=1,
+                    dp_degree=128, imbalance_enabled=False)
+
+
 class TestDdpOverlap:
     @pytest.fixture(scope="class")
     def estimate(self):
-        return estimate_step_time(Scenario(
-            policy=KernelPolicy.reference(), gpu="A100", dap_n=1,
-            dp_degree=128, imbalance_enabled=False))
+        return estimate_step_time(_ddp_scenario())
 
     def test_overlapped_all_reduce_beats_additive_sum(self, estimate):
         topo = ClusterTopology(gpu=get_gpu("A100"), n_gpus=128)
@@ -95,7 +98,9 @@ class TestDdpOverlap:
             + estimate.ddp_exposed_s + estimate.imbalance_s, rel=1e-9)
 
     def test_timeline_shows_comm_under_compute(self, estimate):
-        timeline = estimate.timeline
+        assert estimate.timeline is None  # only event estimates record one
+        timeline = estimate_step_time(_ddp_scenario(),
+                                      engine="event").timeline
         assert timeline is not None
         comm = [iv for iv in timeline.intervals if iv.tag == "ddp_comm"]
         compute = [iv for iv in timeline.intervals if iv.tag == "compute"]

@@ -20,6 +20,8 @@ from repro.perf.trace_builder import build_step_trace
 from repro.perf.vector_cost import compute_cost_arrays
 from repro.sim.des import Timeline
 
+from .knob_cells import knob_cell_scenarios
+
 
 @pytest.fixture(scope="module")
 def tiny_traces():
@@ -139,3 +141,20 @@ class TestEngineResolution:
         assert len(calls) == 1
         assert event is not fast
         assert estimates_equal(event, fast)
+
+
+def _cell_id(scenario):
+    return f"{scenario.gpu}-dp{scenario.dp_degree}-{scenario.ddp_bucket_mb:g}MiB"
+
+
+class TestEstimateLevel:
+    """Whole estimates: both closed forms against both event engines."""
+
+    @pytest.mark.parametrize("scenario", knob_cell_scenarios("alphafold"),
+                             ids=_cell_id)
+    def test_knob_cells_match_the_event_engine(self, scenario):
+        fast = estimate_step_time(scenario)
+        event = estimate_step_time(scenario, engine="event")
+        assert fast.as_dict() == event.as_dict()
+        # Only the event engine records the rank-level timeline.
+        assert fast.timeline is None and event.timeline.intervals

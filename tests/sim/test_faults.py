@@ -336,6 +336,28 @@ class TestFaultsCli:
         b = self._run(tmp_path, "b.json")
         assert a == b
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "--mtbf-hours", "0"],
+        ["faults", "--switch-mtbf-hours", "0"],
+        ["faults", "--step-seconds", "0"],
+        ["faults", "--mtbf-hours", "nan"],
+        ["faults", "--mtbf-hours", "-1"],
+        ["serve", "--mtbf-hours", "0"],
+    ])
+    def test_non_positive_arguments_exit_2(self, argv, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[1]}: must be a positive number" in err
+        assert "Traceback" not in err
+
+    def test_inf_is_a_valid_mtbf(self, tmp_path):
+        payload = self._run(tmp_path, "inf.json",
+                            ["--mtbf-hours", "inf", "--no-sweep"])
+        assert payload["mtbf_rank_hours"] == float("inf")
+
     def test_sim_and_artifacts(self, tmp_path):
         from repro.cli import main
         out = tmp_path / "sweep.json"

@@ -19,6 +19,8 @@ from repro.perf.trace_builder import build_step_trace, trace_key
 from repro.workloads import (TransformerConfig, TransformerLoss,
                              get_workload, make_token_batch)
 
+from ..perf.knob_cells import knob_cell_scenarios
+
 
 @pytest.fixture(scope="module")
 def small_step():
@@ -87,6 +89,15 @@ def test_step_sim_fast_event_parity(small_step):
     event = simulate_step(records, gpu, cost, engine="event")
     fast = simulate_step(records, gpu, cost, engine="fast")
     assert breakdowns_equal(event, fast)
+
+
+@pytest.mark.parametrize(
+    "scenario", knob_cell_scenarios("transformer"),
+    ids=lambda s: f"{s.gpu}-dp{s.dp_degree}-{s.ddp_bucket_mb:g}MiB")
+def test_knob_cells_fast_event_parity(scenario):
+    fast = estimate_step_time(scenario)
+    event = estimate_step_time(scenario, engine="event")
+    assert fast.as_dict() == event.as_dict()
 
 
 def test_multirank_estimate_fast_event_parity():
