@@ -2,8 +2,8 @@
 
 PR 4's analyzers audit the *simulated* world; this module audits the real
 threaded runtime that has grown around it — the serve broker pipeline, the
-non-blocking loader, the registered LRU caches, the content-addressed disk
-store and the ``estimate_many`` thread pools.  Every concurrency bug shipped
+non-blocking loader, the registered LRU caches and the content-addressed
+disk store.  Every concurrency bug shipped
 so far (DES waiter leak, loader-shutdown deadlock, orphaned broker requests)
 was found by a hand-written test *after* the fact; the detector turns that
 class of bug into baseline-gated lint findings.
@@ -800,17 +800,6 @@ def _scenario_store(monitor: ConcurrencyMonitor):
     return None
 
 
-def _scenario_sweep(monitor: ConcurrencyMonitor):
-    """estimate_many fan-out: the shared-cache path under real workers."""
-    from ..perf.scaling import Scenario, estimate_many
-
-    scenarios = [Scenario(dap_n=1, dp_degree=2, imbalance_enabled=False,
-                          ddp_bucket_mb=mb) for mb in (25.0, 50.0)]
-    estimates = estimate_many(scenarios, max_workers=2)
-    assert len(estimates) == 2
-    return None
-
-
 def default_scenarios() -> List[ConcScenario]:
     """The fixed-tree scenarios ``repro lint conc`` runs (and must pass)."""
     return [
@@ -821,7 +810,6 @@ def default_scenarios() -> List[ConcScenario]:
                      _scenario_cache),
         ConcScenario("store", "concurrent same-key disk-store writes",
                      _scenario_store),
-        ConcScenario("sweep", "estimate_many worker fan-out", _scenario_sweep),
     ]
 
 

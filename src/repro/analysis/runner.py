@@ -107,23 +107,17 @@ def lint_sched_for(config_name: str = "small", scalefold: bool = False,
     2. the cluster-level training-run simulation (serial eval pool).
     """
     from ..perf.scaling import Scenario, estimate_step_time
-    from ..perf.trace_builder import build_step_trace
     from ..sim.cluster import ClusterSimConfig, run_cluster_simulation
     from ..train.evaluation import EvalConfig
-    from ..workloads import get_workload
-
-    wl = get_workload(workload)
-    policy = _lint_policy(scalefold)
-    cfg = wl.preset(config_name, policy)
-    step = build_step_trace(policy=policy, cfg=cfg, workload=wl)
 
     recorder = ScheduleRecorder()
     with recorder.recording():
         # The event engine runs the rank-level DES (the closed form has no
         # barrier or NIC resource to audit), and never reads the memo.
-        scenario = Scenario(policy=policy, gpu=gpu_name, dap_n=2, dp_degree=2,
-                            imbalance_enabled=False, workload=wl.name)
-        estimate_step_time(scenario, trace=step, engine="event")
+        scenario = Scenario(policy=_lint_policy(scalefold), gpu=gpu_name,
+                            dap_n=2, dp_degree=2, imbalance_enabled=False,
+                            workload=workload, preset=config_name)
+        estimate_step_time(scenario, engine="event")
         run_cluster_simulation(ClusterSimConfig(
             step_seconds=0.5, n_sync_ranks=4, max_steps=12,
             eval=EvalConfig(eval_every_steps=5), target_lddt=2.0))
@@ -135,9 +129,9 @@ def lint_conc_for(rule_config: Optional[RuleConfig] = None,
     """Run the dynamic concurrency detector over the real threaded paths.
 
     Instruments ``threading`` and drives the serve broker, both loaders,
-    cache churn, concurrent disk-store writes and an ``estimate_many``
-    fan-out; ``corpus=True`` adds the known-bug corpus whose findings are
-    expected (the detector's regression oracle).
+    cache churn and concurrent disk-store writes; ``corpus=True`` adds the
+    known-bug corpus whose findings are expected (the detector's regression
+    oracle).
     """
     from .concurrency import run_conc_scenarios
 

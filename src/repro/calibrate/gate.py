@@ -109,14 +109,12 @@ def cross_engine_gate(spec: GpuSpec,
     if registered_name is not None:
         via_registry = get_gpu(registered_name)
         result.checks["registry_roundtrip"] = via_registry == spec
-        sf_policy = KernelPolicy.scalefold(checkpointing=False)
-        tiny = build_step_trace(sf_policy,
-                                cfg=AlphaFoldConfig.tiny(sf_policy))
-        scenario = Scenario(policy=sf_policy, gpu=registered_name,
-                            dap_n=2, dp_degree=2, cuda_graphs=True,
-                            gc_disabled=True, torch_compile=True,
-                            nonblocking_pipeline=True)
-        estimate = estimate_step_time(scenario, trace=tiny)
+        scenario = Scenario(policy=KernelPolicy.scalefold(checkpointing=False),
+                            gpu=registered_name, dap_n=2, dp_degree=2,
+                            cuda_graphs=True, gc_disabled=True,
+                            torch_compile=True, nonblocking_pipeline=True,
+                            preset="tiny")
+        estimate = estimate_step_time(scenario)
         step_s = estimate.total_s
         result.checks["estimate_finite"] = (step_s == step_s
                                             and 0.0 < step_s < float("inf"))

@@ -36,16 +36,30 @@ def _workload_choices() -> List[str]:
     return list_workloads()
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a float > 0; ``inf`` is allowed, NaN is not."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number (inf allowed), got {text!r}")
-    return value
+def _checked(convert, accept, requirement: str):
+    """An argparse type: ``convert(text)``, exiting 2 unless ``accept``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+# NaN fails every comparison, so none of these accepts it.
+_positive_float = _checked(float, lambda v: v > 0.0,
+                           "a positive number (inf allowed)")
+_positive_finite_float = _checked(float, lambda v: 0.0 < v < math.inf,
+                                  "a positive finite number")
+_non_negative_float = _checked(float, lambda v: 0.0 <= v < math.inf,
+                               "a finite number >= 0")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _build_profile_trace(config_name: str, scalefold: bool,
@@ -104,10 +118,10 @@ def trace_command(argv: List[str]) -> int:
                              "(default: eager reference)")
     parser.add_argument("--output", "-o", default="trace.json",
                         help="[export] output path for chrome-trace JSON")
-    parser.add_argument("--dap", type=int, default=1,
+    parser.add_argument("--dap", type=_positive_int, default=1,
                         help="[export] DAP group size; >1 adds one "
                              "timeline track per simulated rank")
-    parser.add_argument("--dp", type=int, default=1,
+    parser.add_argument("--dp", type=_positive_int, default=1,
                         help="[export] data-parallel degree for the "
                              "multi-rank timeline")
     parser.add_argument("-k", type=int, default=15,
@@ -141,9 +155,9 @@ def trace_command(argv: List[str]) -> int:
             scenario = Scenario(policy=step.policy, gpu=args.gpu,
                                 dap_n=args.dap, dp_degree=args.dp,
                                 imbalance_enabled=False,
-                                workload=args.workload)
-            estimate = estimate_step_time(scenario, trace=step,
-                                          engine="event")
+                                workload=args.workload,
+                                preset=args.config)
+            estimate = estimate_step_time(scenario, engine="event")
             timeline_to_chrome(estimate.timeline, into=builder)
         builder.write(args.output)
         print(f"wrote {len(builder)} events to {args.output} "
@@ -333,7 +347,7 @@ def optimize_command(argv: List[str]) -> int:
                         help="reduced space and restarts for CI")
     parser.add_argument("--seed", type=int, default=0,
                         help="restart-sampling seed (default: 0)")
-    parser.add_argument("--restarts", type=int, default=2,
+    parser.add_argument("--restarts", type=_non_negative_int, default=2,
                         help="seeded random restarts beyond the origin "
                              "start (default: 2; quick caps at 1)")
     parser.add_argument("--no-verify", action="store_true",
@@ -455,7 +469,8 @@ def faults_command(argv: List[str]) -> int:
                              "(default: inf = disabled)")
     parser.add_argument("--checkpoint-every", type=int, default=250,
                         help="checkpoint interval in steps (default: 250)")
-    parser.add_argument("--checkpoint-write-s", type=float, default=None,
+    parser.add_argument("--checkpoint-write-s", type=_non_negative_float,
+                        default=None,
                         help="checkpoint write seconds (default: derived "
                              "from the workload's parameter count)")
     parser.add_argument("--async-checkpoint", action="store_true",
@@ -463,7 +478,8 @@ def faults_command(argv: List[str]) -> int:
                              "snapshot stall, delayed durability)")
     parser.add_argument("--snapshot-stall-s", type=float, default=0.05,
                         help="[async] snapshot stall seconds (default 0.05)")
-    parser.add_argument("--restart-s", type=float, default=180.0,
+    parser.add_argument("--restart-s", type=_non_negative_float,
+                        default=180.0,
                         help="requeue+relaunch+init seconds after an abort")
     parser.add_argument("--seed", type=int, default=0,
                         help="fault-injection seed (default: 0)")
@@ -646,9 +662,10 @@ def serve_command(argv: List[str]) -> int:
     parser.add_argument("--pattern", default="poisson",
                         choices=("poisson", "bursty", "diurnal"),
                         help="[fleet] arrival process (default: poisson)")
-    parser.add_argument("--rate", type=float, default=1.0,
+    parser.add_argument("--rate", type=_positive_finite_float, default=1.0,
                         help="[fleet] mean arrival rate, requests/s")
-    parser.add_argument("--duration", type=float, default=120.0,
+    parser.add_argument("--duration", type=_positive_finite_float,
+                        default=120.0,
                         help="[fleet] arrival window, simulated seconds")
     parser.add_argument("--frontends", type=int, default=2)
     parser.add_argument("--prep-workers", type=int, default=4,
@@ -663,7 +680,7 @@ def serve_command(argv: List[str]) -> int:
                         default=float("inf"),
                         help="[fleet] per-worker MTBF; finite values "
                              "enable fault injection (default: inf = off)")
-    parser.add_argument("--restart-s", type=float, default=30.0,
+    parser.add_argument("--restart-s", type=_non_negative_float, default=30.0,
                         help="[fleet] worker restart seconds after an abort")
     parser.add_argument("--requests", type=int, default=4,
                         help="[broker] concurrent requests to serve")

@@ -22,8 +22,8 @@ from ..model.config import AlphaFoldConfig, KernelPolicy
 from ..perf.profiler import (key_operation_analysis, module_time_shares,
                              table1_breakdown)
 from ..perf.scaling import (LADDER_LABELS, N_MEASURED_STEPS, N_WARMUP_STEPS,
-                            Scenario, barrier_breakdown, estimate_many,
-                            estimate_step_time, optimization_ladder)
+                            Scenario, barrier_breakdown, estimate_step_time,
+                            optimization_ladder)
 from ..perf.step_time import simulate_step
 from ..perf.time_to_train import (curve_with_walltime, mlperf_time_to_train,
                                   pretraining_time_to_train)
@@ -235,11 +235,10 @@ def run_fig8(gpu: str = "H100") -> ExperimentResult:
     prev = None
     first = None
     paper_cum = 1.0
-    ladder = optimization_ladder(gpu=gpu)
-    # Fan the ladder rungs over worker threads; every rung over the same
-    # (policy, DAP) trace shares one set of cached cost arrays.
-    estimates = estimate_many(ladder)
-    for label, est in zip(LADDER_LABELS, estimates):
+    # Every rung over the same (policy, DAP) trace shares one set of cached
+    # cost arrays.
+    for label, scenario in zip(LADDER_LABELS, optimization_ladder(gpu=gpu)):
+        est = estimate_step_time(scenario)
         if first is None:
             first = est.total_s
             prev = est.total_s

@@ -1,7 +1,7 @@
 """Bounded, instrumented in-memory caches.
 
-Long sweep sessions (the optimization ladder, scenario grids, the parallel
-sweep workers) used to grow the module-level memo dicts without bound: every
+Long sweep sessions (the optimization ladder, scenario grids, the optimizer's
+knob search) used to grow the module-level memo dicts without bound: every
 ``(scenario)`` key kept its full :class:`StepEstimate`, every ``(policy,
 config)`` key kept a ~150k-record trace.  :class:`LruCache` is the shared
 replacement: a thread-safe least-recently-used mapping with a capacity cap

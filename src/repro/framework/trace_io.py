@@ -298,15 +298,6 @@ class TraceCacheStore:
             self.trace_hits += 1
         return result
 
-    def has_trace(self, material: str) -> bool:
-        """Cheap existence probe (no load, no hit/miss accounting).
-
-        Used by sweep pre-warm to decide whether a serial build is worth
-        doing; a ``True`` here can still turn into a miss if the entry is
-        corrupt, which callers must tolerate (they re-build on demand).
-        """
-        return self.enabled and os.path.exists(self.trace_path(material))
-
     def put_trace(self, material: str, trace: Trace,
                   meta: Optional[dict] = None) -> Optional[str]:
         if not self.enabled:

@@ -294,8 +294,8 @@ CATALOG = tuple(sorted(GPUS))
 #: computed against a replaced spec are never replayed stale.
 _REGISTRY_EPOCHS: Dict[str, int] = {}
 
-#: Guards ``GPUS`` and ``_REGISTRY_EPOCHS``: estimate_many sweep workers
-#: resolve specs concurrently while a calibration run may be installing one.
+#: Guards ``GPUS`` and ``_REGISTRY_EPOCHS``, so a thread resolving a spec
+#: never sees a half-installed one while a calibration run registers it.
 _REGISTRY_LOCK = threading.Lock()
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..framework import dtypes
 from ..framework.dtypes import DType
@@ -44,6 +44,16 @@ class KernelPolicy:
 
     def replace(self, **kwargs) -> "KernelPolicy":
         return dataclasses.replace(self, **kwargs)
+
+    def signature(self) -> Tuple[Tuple[str, object], ...]:
+        """Hashable ``(field, value)`` pairs of every field, in declaration
+        order, with the dtype taken by name: the policy half of every cache
+        key, so a new field can never alias cached traces or estimates."""
+        out = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            out.append((f.name, value.name if f.name == "dtype" else value))
+        return tuple(out)
 
 
 @dataclass

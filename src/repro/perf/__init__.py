@@ -9,7 +9,7 @@ from .profiler import (KernelRow, KeyOperationStats, Table1, Table1Row,
                        key_operation_analysis, module_time_shares,
                        table1_breakdown, top_kernels)
 from .scaling import (LADDER_LABELS, BarrierBreakdown, Scenario, StepEstimate,
-                      barrier_breakdown, estimate_many, estimate_step_time,
+                      barrier_breakdown, estimate_step_time,
                       optimization_ladder)
 from .step_time import (StepTimeBreakdown, default_segment_marks,
                         simulate_step)
@@ -28,7 +28,7 @@ __all__ = [
     "MemoryEstimate", "checkpointing_required", "estimate_memory",
     "evoformer_block_activation_bytes",
     "LADDER_LABELS", "BarrierBreakdown", "Scenario", "StepEstimate",
-    "barrier_breakdown", "estimate_many", "estimate_step_time",
+    "barrier_breakdown", "estimate_step_time",
     "optimization_ladder",
     "StepTimeBreakdown", "default_segment_marks", "simulate_step",
     "TraceCostArrays", "compute_cost_arrays", "trace_cost_arrays",

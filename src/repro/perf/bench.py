@@ -12,8 +12,8 @@ machine-readable report:
 * **64-rank estimate** — the golden DAP-8 x DP-8 scenario through
   :func:`estimate_step_time` under each engine (warm caches), recording the
   event-engine baseline and the fast/event speedup;
-* **ladder sweep** — the Figure-8 optimization ladder through
-  :func:`estimate_many`, cold and estimate-cache-warm;
+* **ladder sweep** — the Figure-8 optimization ladder, one
+  :func:`estimate_step_time` per rung, cold and estimate-cache-warm;
 * **cross-workload table** — for every registered workload (alphafold,
   transformer, ...): cold trace build, fast-vs-event step simulation, and
   the workload's canonical multi-rank estimate under both engines, each
@@ -37,8 +37,8 @@ from ..hardware.roofline import CostModel
 from ..model.config import KernelPolicy
 from ..workloads import get_workload, list_workloads
 from .scaling import (Scenario, StepEstimate, clear_estimate_cache,
-                      clear_partition_cache, estimate_many,
-                      estimate_step_time, optimization_ladder)
+                      clear_partition_cache, estimate_step_time,
+                      optimization_ladder)
 from .step_time import StepTimeBreakdown, simulate_step
 from .trace_builder import build_step_trace, clear_cache
 from .vector_cost import clear_cost_cache, trace_cost_arrays
@@ -56,10 +56,10 @@ QUICK_LADDER_RUNGS = 3
 #: reset at session start).  Only gated when the cache saw at least
 #: :data:`CACHE_GATE_MIN_LOOKUPS` lookups, so an unexercised cache can
 #: never fail.  Values sit below the measured rates with margin (quick /
-#: full: step-traces 0.76/0.66, cost-arrays 0.61/0.46-0.50,
-#: dap-partitions 0.67/0.50-0.54; the full ladder's concurrent misses
-#: move the last two); a capacity regression (re-evicting what a sweep
-#: re-uses) drops the measured rate well under these floors.
+#: full: step-traces 0.73/0.66, cost-arrays 0.59/0.50, dap-partitions
+#: 0.65/0.54; the ladder runs serially, so every run reads the same rates);
+#: a capacity regression (re-evicting what a sweep re-uses) drops the
+#: measured rate well under these floors.
 CACHE_HIT_THRESHOLDS: Dict[str, float] = {
     "step-traces": 0.50,
     "cost-arrays": 0.40,
@@ -294,8 +294,8 @@ def _bench_ladder(gpu: str, quick: bool) -> Dict[str, object]:
     if quick:
         ladder = ladder[:QUICK_LADDER_RUNGS]
     clear_estimate_cache()
-    cold_s, _ = _timed(lambda: estimate_many(ladder))
-    warm_s, _ = _timed(lambda: estimate_many(ladder))
+    cold_s, _ = _timed(lambda: [estimate_step_time(s) for s in ladder])
+    warm_s, _ = _timed(lambda: [estimate_step_time(s) for s in ladder])
     return {
         "n_scenarios": len(ladder),
         "quick": quick,

@@ -1,10 +1,11 @@
 """Distributed step-time scenarios: DAP scaling, barriers, and the
 optimization ladder (Figures 3, 7, 8 of the paper).
 
-:class:`Scenario` describes one training configuration (kernel policy, DAP
-degree, GPU, pipeline and host options).  :func:`estimate_step_time` runs it
-through two simulation levels; ``engine`` selects a closed form or an event
-engine for both, and the event engines are the closed forms' oracles:
+:class:`Scenario` describes one training configuration (workload and size
+preset, kernel policy, DAP degree, GPU, pipeline and host options).
+:func:`estimate_step_time`, the only entry point, runs it through two
+simulation levels; ``engine`` selects a closed form or an event engine for
+both, and the event engines are the closed forms' oracles:
 
 1. the **kernel level** (:func:`repro.perf.step_time.simulate_step`)
    simulates the CPU dispatch stream against the GPU compute stream over
@@ -32,8 +33,6 @@ record the per-rank intervals (``StepEstimate.timeline``).
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,8 +57,7 @@ from .fast_rank import STAT_KEYS, Unordered, solve_rank_steps
 from .fast_step import sequential_sum
 from .step_time import check_engine, simulate_step
 from .torchcompile import apply_torch_compile
-from .trace_builder import (StepTrace, build_step_trace, trace_is_warm,
-                            trace_key)
+from .trace_builder import build_step_trace, trace_key
 from .vector_cost import (TraceStructure, cost_cache_material,
                           trace_cost_arrays)
 
@@ -94,6 +92,9 @@ class Scenario:
     #: rank-level knob: changing it re-runs only the distributed DES over
     #: the cached trace/partition/cost state.
     ddp_bucket_mb: float = 25.0
+    #: Model size preset (``wl.preset(preset, policy)``): the trace and the
+    #: DAP collective bundles both come from this one config.
+    preset: str = "full"
 
     @property
     def world_size(self) -> int:
@@ -101,6 +102,8 @@ class Scenario:
 
     def label(self) -> str:
         bits = [self.gpu, f"DAP-{self.dap_n}"]
+        if self.preset != "full":
+            bits.insert(0, self.preset)
         if self.workload != DEFAULT_WORKLOAD:
             bits.insert(0, self.workload)
         p = self.policy
@@ -388,14 +391,6 @@ def _simulate_rank_steps(plan: List[_PlanOp],
     return stats
 
 
-def _policy_signature(policy: KernelPolicy) -> Tuple:
-    out = []
-    for f in dataclasses.fields(policy):
-        value = getattr(policy, f.name)
-        out.append((f.name, getattr(value, "name", value)))
-    return tuple(out)
-
-
 def _scenario_key(scenario: Scenario) -> Tuple:
     # Every field is part of the key, so a new Scenario field can never
     # alias cached estimates.  The registry token pins the key to the
@@ -404,7 +399,7 @@ def _scenario_key(scenario: Scenario) -> Tuple:
     # can't be replayed.
     values = tuple(getattr(scenario, f.name)
                    for f in dataclasses.fields(scenario))
-    return (tuple(_policy_signature(v) if isinstance(v, KernelPolicy) else v
+    return (tuple(v.signature() if isinstance(v, KernelPolicy) else v
                   for v in values)
             + (registry_token(scenario.gpu),))
 
@@ -422,8 +417,7 @@ class _Partition:
     #: device time into serial and parallel parts.
     shardable: np.ndarray
     #: Taken from the first cost-array build or disk hit, so a later GPU
-    #: re-costs it instead of re-walking the records.  Concurrent estimates
-    #: may both set it; their structures are equal, so either one may win.
+    #: re-costs it instead of re-walking the records.
     structure: Optional[TraceStructure] = None
 
 
@@ -448,8 +442,6 @@ def clear_partition_cache() -> None:
 
 
 def estimate_step_time(scenario: Scenario,
-                       trace: Optional[StepTrace] = None,
-                       topo: Optional[ClusterTopology] = None,
                        engine: str = "fast") -> StepEstimate:
     """Simulate one scenario's expected step time (two levels).
 
@@ -461,7 +453,7 @@ def estimate_step_time(scenario: Scenario,
     ``"event"`` estimates record ``StepEstimate.timeline``.
     """
     check_engine(engine)
-    cacheable = trace is None and topo is None and engine == "fast"
+    cacheable = engine == "fast"
     if cacheable:
         key = _scenario_key(scenario)
         cached = _ESTIMATE_CACHE.get(key)
@@ -470,19 +462,14 @@ def estimate_step_time(scenario: Scenario,
 
     wl = get_workload(scenario.workload)
     gpu = get_gpu(scenario.gpu)
-    topo = topo or ClusterTopology(gpu=gpu, n_gpus=scenario.world_size)
-    own_trace = trace is None
-    trace = trace or build_step_trace(scenario.policy,
-                                      n_recycle=scenario.n_recycle,
-                                      workload=wl)
-    cfg = wl.full_config(scenario.policy)
-
-    records_id = None
-    if own_trace:
-        records_id = ("dap-records",
-                      trace_key(scenario.policy, n_recycle=scenario.n_recycle,
-                                workload=wl),
-                      scenario.dap_n, scenario.torch_compile)
+    topo = ClusterTopology(gpu=gpu, n_gpus=scenario.world_size)
+    cfg = wl.preset(scenario.preset, scenario.policy)
+    trace = build_step_trace(scenario.policy, n_recycle=scenario.n_recycle,
+                             cfg=cfg, workload=wl)
+    records_id = ("dap-records",
+                  trace_key(scenario.policy, n_recycle=scenario.n_recycle,
+                            cfg=cfg, workload=wl),
+                  scenario.dap_n, scenario.torch_compile)
 
     def build_partition() -> _Partition:
         itemsize = 2 if scenario.policy.dtype.name in ("bf16", "fp16") else 4
@@ -501,27 +488,20 @@ def estimate_step_time(scenario: Scenario,
                                 dtype=bool, count=len(recs))
         return _Partition(recs, shardable)
 
-    if records_id is not None:
-        part = _DAP_CACHE.get_or_create(records_id, build_partition)
-    else:
-        part = build_partition()
+    part = _DAP_CACHE.get_or_create(records_id, build_partition)
     records = part.records
 
     # --- kernel level: dispatch vs compute streams, segment marks at every
     # collective position and phase boundary ---
     cost = CostModel(gpu, autotune=True)
     # The per-kernel cost arrays depend only on (trace identity, DAP degree,
-    # compile transform, GPU, autotune): one evaluation shared by every
+    # compile transform, GPU spec, autotune): one evaluation shared by every
     # scenario over the same partitioned trace — and, via the on-disk store,
     # by every fresh process.
-    cost_key = None
-    material = None
-    if records_id is not None:
-        cost_key = (records_id, scenario.gpu, registry_token(scenario.gpu))
-        material = cost_cache_material(repr(records_id), gpu, True)
-    costs = trace_cost_arrays(records, cost, cache_key=cost_key,
-                              store_material=material,
-                              structure=part.structure)
+    costs = trace_cost_arrays(
+        records, cost,
+        store_material=cost_cache_material(repr(records_id), gpu, True),
+        structure=part.structure)
     if part.structure is None:
         part.structure = costs.structure
     breakdown = simulate_step(records, gpu, cost,
@@ -622,41 +602,6 @@ def estimate_step_time(scenario: Scenario,
     if cacheable:
         _ESTIMATE_CACHE.put(key, estimate)
     return estimate
-
-
-def estimate_many(scenarios: Sequence[Scenario],
-                  max_workers: Optional[int] = None) -> List[StepEstimate]:
-    """Estimate a batch of scenarios, fanning out over worker threads.
-
-    Workers share every process-level cache — step traces, cost arrays,
-    prep series, autotune results embedded in the arrays — so each distinct
-    (policy, DAP, GPU) combination is costed once no matter how many
-    scenarios sweep over it.  Shared inputs (traces and cost arrays) are
-    pre-warmed serially to keep concurrent misses from duplicating the
-    expensive meta-build.  The rank level and the loader model are pure
-    Python, so the win comes from overlapping the numpy cost and trace-load
-    phases; workers default to a modest pool.
-    """
-    scenarios = list(scenarios)
-    if max_workers is None:
-        max_workers = min(4, len(scenarios), os.cpu_count() or 1)
-    if max_workers <= 1 or len(scenarios) <= 1:
-        return [estimate_step_time(s) for s in scenarios]
-    seen = set()
-    for s in scenarios:
-        warm_key = (s.workload, _policy_signature(s.policy), s.n_recycle)
-        if warm_key not in seen:
-            seen.add(warm_key)
-            # Serial pre-warm exists to keep concurrent misses from
-            # duplicating the expensive meta-build; a trace that is already
-            # warm (memo or disk store) loads cheaply and race-free inside
-            # the workers, so skip it here.
-            if not trace_is_warm(s.policy, n_recycle=s.n_recycle,
-                                 workload=s.workload):
-                build_step_trace(s.policy, n_recycle=s.n_recycle,
-                                 workload=s.workload)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(estimate_step_time, scenarios))
 
 
 # ----------------------------------------------------------------------

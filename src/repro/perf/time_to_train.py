@@ -28,7 +28,7 @@ from ..train.convergence import (ConvergenceModel, CurvePoint, TrainingPhase,
                                  simulate_curve)
 from ..train.evaluation import EvalConfig, EvalOverhead, evaluation_overhead
 from ..workloads import DEFAULT_WORKLOAD, Workload, get_workload
-from .scaling import Scenario, estimate_many, estimate_step_time
+from .scaling import Scenario, estimate_step_time
 
 #: Paper: "~2 minutes initialization and compilation overhead".
 INIT_SECONDS_SCALEFOLD = 120.0
@@ -227,20 +227,21 @@ def pretraining_time_to_train(scalefold: bool = True,
 
     if scalefold:
         gpu = gpu or "H100"
-        e1, e2 = estimate_many([
-            _scalefold_scenario(dap_n=8, dp_degree=128, gpu=gpu),
+        s1 = estimate_step_time(
+            _scalefold_scenario(dap_n=8, dp_degree=128, gpu=gpu)).total_s
+        s2 = estimate_step_time(
             _scalefold_scenario(dap_n=8, dp_degree=256, gpu=gpu,
-                                fused_mha=False)])
-        s1, s2 = e1.total_s, e2.total_s
+                                fused_mha=False)).total_s
         init = INIT_SECONDS_SCALEFOLD
         async_eval = True
         label = f"ScaleFold-pretrain-{gpu}"
         train_gpus = (1024, 2048)
     else:
         gpu = gpu or "A100"
-        e1, e2 = estimate_many([_reference_scenario(dp_degree=128, gpu=gpu),
-                                _reference_scenario(dp_degree=256, gpu=gpu)])
-        s1, s2 = e1.total_s, e2.total_s
+        s1 = estimate_step_time(
+            _reference_scenario(dp_degree=128, gpu=gpu)).total_s
+        s2 = estimate_step_time(
+            _reference_scenario(dp_degree=256, gpu=gpu)).total_s
         init = INIT_SECONDS_REFERENCE
         async_eval = False
         label = f"Baseline-pretrain-{gpu}"

@@ -56,10 +56,10 @@ class StepTrace:
 
 def _policy_key(policy: KernelPolicy, n_recycle: int,
                 include_optimizer: bool) -> Tuple:
-    return (policy.fused_layernorm, policy.fused_mha, policy.batched_gemm,
-            policy.fused_adam_swa, policy.bucketed_clip,
-            policy.activation_checkpointing, policy.dtype.name, n_recycle,
-            include_optimizer)
+    # Values only, in field order: stored traces are addressed by this
+    # tuple, so its shape must not change.
+    return (tuple(value for _, value in policy.signature())
+            + (n_recycle, include_optimizer))
 
 
 def _cfg_key(workload: Workload, cfg) -> Tuple:
@@ -160,24 +160,6 @@ def build_step_trace(policy: Optional[KernelPolicy] = None,
             "param_shapes": [list(s) for s in param_shapes],
         })
     return result
-
-
-def trace_is_warm(policy: Optional[KernelPolicy] = None,
-                  n_recycle: int = 1,
-                  include_optimizer: bool = True,
-                  cfg=None,
-                  workload: WorkloadLike = DEFAULT_WORKLOAD) -> bool:
-    """True when this trace would be served without a meta-build.
-
-    Checks the in-process memo, then the disk store's existence probe.
-    Sweep pre-warm uses this to skip traces that are already warm instead
-    of serially rebuilding the first scenario's trace unconditionally.
-    """
-    wl, policy, cfg = _resolve(workload, policy, cfg)
-    key = _policy_key(policy, n_recycle, include_optimizer) + _cfg_key(wl, cfg)
-    if key in _CACHE:
-        return True
-    return default_store().has_trace(trace_store_material(key))
 
 
 def _from_stored(t: Trace, meta: Optional[dict], policy: KernelPolicy,

@@ -32,11 +32,11 @@ unique ``(family, shape, dtype, flops, bytes)`` signature and scattered
 back (the autotuner is deterministic, so deduplication cannot change a
 value).
 
-Arrays are cached in a bounded LRU keyed by the caller's cache key, and —
-when key material is provided — persisted to the content-addressed
-on-disk store so fresh processes skip the evaluation entirely.  Persisted
-entries carry the structure arrays too (format v2), so a disk hit for one
-GPU also yields the structure every other GPU is re-costed from.
+When the caller provides key material, arrays are cached under it in a
+bounded LRU and persisted to the content-addressed on-disk store, so fresh
+processes skip the evaluation entirely.  Persisted entries carry the
+structure arrays too (format v2), so a disk hit for one GPU also yields the
+structure every other GPU is re-costed from.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from ..framework.caching import LruCache, register_cache
 from ..framework.tracer import KernelCategory, KernelRecord
-from ..framework.trace_io import TraceCacheStore, default_store
+from ..framework.trace_io import default_store
 from ..hardware.roofline import (COST_MODEL_VERSION, LIMITERS, CostModel,
                                  _math_dtype)
 
@@ -227,8 +227,8 @@ class TraceCostArrays:
 # re-simulation contract ("untouched segments are not recomputed").
 # ----------------------------------------------------------------------
 _COUNTERS = {"structure_builds": 0, "cost_builds": 0}
-# estimate_many workers hit the build paths concurrently; the += below is
-# a read-modify-write, so the counters need a real lock, not the GIL.
+# Any thread may hit the build paths; the += below is a read-modify-write,
+# so the counters need a real lock, not the GIL.
 _COUNTERS_LOCK = threading.Lock()
 
 
@@ -374,11 +374,11 @@ def compute_cost_arrays(records: Sequence[KernelRecord],
 # ----------------------------------------------------------------------
 # Caching front end
 # ----------------------------------------------------------------------
-#: Cost arrays are keyed by (partitioned-trace identity, GPU, autotune).
-#: The optimizer's knob search revisits dozens of (policy, DAP, compile,
-#: GPU) combinations in one process, so the caps are sized for a joint
-#: sweep, not a single ladder (96 entries x ~2 MB of float64 per full
-#: trace).
+#: Cost arrays are keyed by their store material: (partitioned-trace
+#: identity, full GPU spec, autotune).  The optimizer's knob search revisits
+#: dozens of (policy, DAP, compile, GPU) combinations in one process, so the
+#: cap is sized for a joint sweep, not a single ladder (96 entries x ~2 MB
+#: of float64 per full trace).
 _ARRAY_CACHE = register_cache(LruCache(capacity=96, name="cost-arrays"))
 
 
@@ -394,42 +394,38 @@ def cost_cache_material(trace_material: str, gpu, autotune: bool) -> str:
 
 def trace_cost_arrays(records: Sequence[KernelRecord],
                       cost_model: CostModel,
-                      cache_key: Optional[Tuple] = None,
                       store_material: Optional[str] = None,
-                      store: Optional[TraceCacheStore] = None,
                       structure: Optional[TraceStructure] = None
                       ) -> TraceCostArrays:
-    """Cost arrays for ``records``, cached in memory and (optionally) on
-    disk.
+    """Cost arrays for ``records``, cached in memory and on disk.
 
-    ``cache_key`` enables the in-memory LRU; ``store_material`` enables the
-    persistent store.  Passing the records' already-extracted ``structure``
+    ``store_material`` (from :func:`cost_cache_material`, which covers every
+    :class:`GpuSpec` field) keys both the in-memory LRU and the persistent
+    store, so re-registering a GPU name with another spec can never serve
+    stale costs.  Passing the records' already-extracted ``structure``
     turns a miss that only changed the GPU into a re-costing instead of a
     re-walk of the records.  Callers that cannot produce a stable identity
-    (ad hoc record lists) pass none of them and pay one evaluation.
+    (ad hoc record lists) pass no material and pay one evaluation.
     """
-    if cache_key is not None:
-        cached = _ARRAY_CACHE.get(cache_key)
-        if cached is not None and cached.structure.n_records == len(records):
-            return cached
+    if store_material is None:
+        return compute_cost_arrays(records, cost_model, structure=structure)
+    cached = _ARRAY_CACHE.get(store_material)
+    if cached is not None and cached.structure.n_records == len(records):
+        return cached
 
+    store = default_store()
     arrays: Optional[TraceCostArrays] = None
-    if store_material is not None:
-        cache_store = store if store is not None else default_store()
-        payload = cache_store.get_arrays(store_material)
-        if payload is not None:
-            arrays = TraceCostArrays.from_arrays(payload)
-            if (arrays is not None
-                    and arrays.structure.n_records != len(records)):
-                arrays = None  # stale entry for different-shaped records
-
+    payload = store.get_arrays(store_material)
+    if payload is not None:
+        arrays = TraceCostArrays.from_arrays(payload)
+        if arrays is not None and arrays.structure.n_records != len(records):
+            arrays = None  # stale entry for different-shaped records
     fresh = arrays is None
     if fresh:
         arrays = compute_cost_arrays(records, cost_model, structure=structure)
-    if cache_key is not None:
-        _ARRAY_CACHE.put(cache_key, arrays)
-    if fresh and store_material is not None:
-        cache_store.put_arrays(store_material, arrays.to_arrays())
+    _ARRAY_CACHE.put(store_material, arrays)
+    if fresh:
+        store.put_arrays(store_material, arrays.to_arrays())
     return arrays
 
 

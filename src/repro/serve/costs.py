@@ -105,7 +105,6 @@ def inference_cost(workload, preset: str = "small", gpu: str = "H100",
     key = trace_key(policy=policy, cfg=cfg, workload=wl)
     arrays = trace_cost_arrays(
         forward, cost_model,
-        cache_key=("serve-fwd", key, gpu),
         store_material=cost_cache_material(
             repr(("serve-fwd", key)), gpu_spec, True))
     device_s = arrays.phase_seconds().get("forward", 0.0)

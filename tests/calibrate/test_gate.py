@@ -7,11 +7,11 @@ import pytest
 from repro.calibrate import fit_spec, synthetic_samples
 from repro.calibrate.fit import CalibrationFit
 from repro.calibrate.gate import cross_engine_gate, fidelity_gate
-from repro.hardware import (A100, B200, GH200, get_gpu, registry_token,
-                            unregister_gpu)
-from repro.model.config import AlphaFoldConfig, KernelPolicy
+from repro.hardware import (A100, B200, GH200, H100, get_gpu, register_gpu,
+                            registry_token, unregister_gpu)
+from repro.model.config import KernelPolicy
 from repro.perf.scaling import Scenario, estimate_step_time
-from repro.perf.trace_builder import build_step_trace
+from repro.serve.costs import inference_cost
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +78,15 @@ class TestRegistryCacheInvalidation:
 
     def test_reregistered_spec_changes_estimate(self, calibrated_fit):
         policy = KernelPolicy.scalefold(checkpointing=False)
-        tiny = build_step_trace(policy, cfg=AlphaFoldConfig.tiny(policy))
         scenario = Scenario(policy=policy, gpu="CAL-EPOCH", dap_n=2,
-                            dp_degree=2, nonblocking_pipeline=True)
+                            dp_degree=2, nonblocking_pipeline=True,
+                            preset="tiny")
         from repro.perf.scaling import _scenario_key
         try:
             fidelity_gate(calibrated_fit, register_as="CAL-EPOCH")
             token = registry_token("CAL-EPOCH")
             key = _scenario_key(scenario)
-            first = estimate_step_time(scenario, trace=tiny).total_s
+            first = estimate_step_time(scenario).total_s
 
             slower = dataclasses.replace(
                 calibrated_fit.spec,
@@ -100,7 +100,22 @@ class TestRegistryCacheInvalidation:
             # name, so no estimate/cost cache can serve the old spec.
             assert registry_token("CAL-EPOCH") > token
             assert _scenario_key(scenario) != key
-            second = estimate_step_time(scenario, trace=tiny).total_s
+            second = estimate_step_time(scenario).total_s
             assert second > first, "re-registered spec not picked up"
         finally:
             unregister_gpu("CAL-EPOCH")
+
+    def test_reregistered_spec_changes_serve_cost(self):
+        try:
+            register_gpu("CAL-SERVE", H100)
+            first = inference_cost("alphafold", "tiny", gpu="CAL-SERVE")
+            slower = dataclasses.replace(
+                H100, gpu_launch_latency_us=H100.gpu_launch_latency_us * 10.0,
+                mem_bw_gbps=H100.mem_bw_gbps / 10.0)
+            register_gpu("CAL-SERVE", slower, replace=True)
+            second = inference_cost("alphafold", "tiny", gpu="CAL-SERVE")
+            assert second.device_s > first.device_s, \
+                "re-registered spec served stale costs"
+            assert second.launch_s > first.launch_s
+        finally:
+            unregister_gpu("CAL-SERVE")

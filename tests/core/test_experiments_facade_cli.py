@@ -151,3 +151,17 @@ class TestTraceCli:
         assert main(["trace", "flame", "--config", "tiny",
                      "--depth", "1", "--min-pct", "5"]) == 0
         assert "100.00%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dap", "0", "--dp", "8"], "must be a positive integer"),
+        (["--dp", "0"], "must be a positive integer"),
+        (["--dap", "-2"], "must be a positive integer"),
+        (["--dap", "1.5"], "invalid int value"),
+    ])
+    def test_invalid_arguments_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "export", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[0]}: {message}" in err
+        assert "Traceback" not in err

@@ -102,8 +102,9 @@ class TestTimelineExport:
     @pytest.fixture(scope="class")
     def estimate(self, tiny_step):
         scenario = Scenario(policy=tiny_step.policy, gpu="A100", dap_n=2,
-                            dp_degree=2, imbalance_enabled=False)
-        return estimate_step_time(scenario, trace=tiny_step, engine="event")
+                            dp_degree=2, imbalance_enabled=False,
+                            preset="tiny")
+        return estimate_step_time(scenario, engine="event")
 
     def test_one_track_per_rank(self, estimate):
         chrome = timeline_to_chrome(estimate.timeline)

@@ -194,3 +194,18 @@ class TestIncrementalGate:
         assert result.n_unique <= result.n_calls
         assert len(result.rounds_per_start) == 1 + result.n_restarts
         assert result.best in result.visited
+
+
+class TestOptimizeCli:
+    @pytest.mark.parametrize("argv, message", [
+        (["--restarts", "-1"], "must be a non-negative integer"),
+        (["--restarts", "two"], "invalid int value"),
+    ])
+    def test_invalid_arguments_exit_2(self, argv, message, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[0]}: {message}" in err
+        assert "Traceback" not in err

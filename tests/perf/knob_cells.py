@@ -3,7 +3,8 @@ knob space, around a workload's 64-rank bench scenario.
 
 The two-valued rank- and cost-stage knobs (``gpu``, ``cuda_graphs``,
 ``gc_disabled``) step through their combinations from cell to cell, and
-each cell gets its own ``Scenario.seed``.
+each cell gets its own ``Scenario.seed``.  :func:`preset_scenarios` adds
+the same bench scenario at the workload's reduced size presets.
 """
 
 import itertools
@@ -26,3 +27,19 @@ def knob_cell_scenarios(model: str) -> List[Scenario]:
             gc_disabled=knobs["gc_disabled"][i // 4 % 2],
             dp_degree=batch, ddp_bucket_mb=bucket_mb, seed=i)))
     return scenarios
+
+
+#: The reduced model sizes every workload registers beside ``full``.
+REDUCED_PRESETS = ("tiny", "small")
+
+
+def preset_scenarios(model: str) -> List[Scenario]:
+    base = get_workload(model).bench_scenario_kwargs()
+    return [Scenario(workload=model, preset=preset, **base)
+            for preset in REDUCED_PRESETS]
+
+
+def cell_id(scenario: Scenario) -> str:
+    prefix = "" if scenario.preset == "full" else f"{scenario.preset}-"
+    return (f"{prefix}{scenario.gpu}-dp{scenario.dp_degree}"
+            f"-{scenario.ddp_bucket_mb:g}MiB")

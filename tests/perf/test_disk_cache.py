@@ -16,6 +16,7 @@ from repro.framework.trace_io import (CACHE_DIR_ENV, CACHE_DISABLE_ENV,
 from repro.hardware.gpu import get_gpu
 from repro.hardware.roofline import CostModel
 from repro.framework.caching import LruCache
+from repro.framework.dtypes import bfloat16
 from repro.model.config import AlphaFoldConfig, KernelPolicy
 from repro.perf import trace_builder
 from repro.perf.trace_builder import (build_step_trace, trace_key,
@@ -109,6 +110,27 @@ class TestKeyInvalidation:
             changed = base.replace(**{flag: not getattr(base, flag)})
             keys.add(trace_key(changed))
         assert len(keys) == 6
+
+    def test_trace_key_covers_every_policy_field(self):
+        base = KernelPolicy.reference()
+        other = {"dtype": bfloat16}
+        for f in dataclasses.fields(KernelPolicy):
+            value = getattr(base, f.name)
+            if f.name in other:
+                changed = other[f.name]
+            elif isinstance(value, bool):
+                changed = not value
+            else:
+                raise AssertionError(f"no changed value for KernelPolicy.{f.name}")
+            key = trace_key(base.replace(**{f.name: changed}))
+            assert key != trace_key(base), f.name
+
+    def test_policy_key_tuple_is_pinned(self):
+        # Stored traces are addressed by this tuple: it must not move.
+        assert trace_builder._policy_key(KernelPolicy.reference(), 1, True) \
+            == (False, False, False, False, False, True, "fp32", 1, True)
+        assert trace_builder._policy_key(KernelPolicy.scalefold(), 3, False) \
+            == (True, True, True, True, True, False, "bf16", 3, False)
 
     def test_cfg_fields_change_the_key(self):
         policy = KernelPolicy.reference()

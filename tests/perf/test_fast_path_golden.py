@@ -20,7 +20,7 @@ from repro.perf.trace_builder import build_step_trace
 from repro.perf.vector_cost import compute_cost_arrays
 from repro.sim.des import Timeline
 
-from .knob_cells import knob_cell_scenarios
+from .knob_cells import cell_id, knob_cell_scenarios, preset_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -143,15 +143,11 @@ class TestEngineResolution:
         assert estimates_equal(event, fast)
 
 
-def _cell_id(scenario):
-    return f"{scenario.gpu}-dp{scenario.dp_degree}-{scenario.ddp_bucket_mb:g}MiB"
-
-
 class TestEstimateLevel:
     """Whole estimates: both closed forms against both event engines."""
 
-    @pytest.mark.parametrize("scenario", knob_cell_scenarios("alphafold"),
-                             ids=_cell_id)
+    @pytest.mark.parametrize("scenario", knob_cell_scenarios("alphafold")
+                             + preset_scenarios("alphafold"), ids=cell_id)
     def test_knob_cells_match_the_event_engine(self, scenario):
         fast = estimate_step_time(scenario)
         event = estimate_step_time(scenario, engine="event")

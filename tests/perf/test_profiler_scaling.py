@@ -5,13 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.framework.tracer import KernelCategory
 from repro.hardware import A100, H100
 from repro.model.config import KernelPolicy
+from repro.perf import scaling
 from repro.perf.profiler import (key_operation_analysis, module_time_shares,
                                  table1_breakdown)
 from repro.perf.scaling import (LADDER_LABELS, Scenario, _scenario_key,
-                                barrier_breakdown, estimate_step_time,
-                                optimization_ladder)
+                                barrier_breakdown, clear_partition_cache,
+                                estimate_step_time, optimization_ladder)
+from repro.workloads import get_workload
+
+from .knob_cells import REDUCED_PRESETS
 
 
 class TestTable1:
@@ -96,7 +101,7 @@ class TestScenario:
         base = Scenario()
         assert _scenario_key(base) == _scenario_key(Scenario())
         other = {"policy": base.policy.replace(batched_gemm=True),
-                 "gpu": "A100", "workload": "transformer"}
+                 "gpu": "A100", "workload": "transformer", "preset": "tiny"}
         for f in dataclasses.fields(Scenario):
             value = getattr(base, f.name)
             if f.name in other:
@@ -199,6 +204,34 @@ class TestBarriers:
         b8 = barrier_breakdown(Scenario(policy=KernelPolicy.reference(),
                                         gpu="A100", dap_n=8), base)
         assert b8.comm_overhead_s > b2.comm_overhead_s
+
+    @pytest.mark.parametrize("workload", ["alphafold", "transformer"])
+    @pytest.mark.parametrize("preset", REDUCED_PRESETS)
+    def test_preset_prices_its_own_collectives(self, workload, preset,
+                                               monkeypatch):
+        """A reduced preset's partition carries the bundles of its own
+        config (one COMM record each), not those of the full model."""
+        wl = get_workload(workload)
+        scenario = Scenario(workload=workload, preset=preset,
+                            **wl.bench_scenario_kwargs())
+        partitions = []
+
+        def spy(*args, **kwargs):
+            partitions.append(partition(*args, **kwargs))
+            return partitions[-1]
+
+        partition = scaling.partition_step
+        monkeypatch.setattr(scaling, "partition_step", spy)
+        clear_partition_cache()
+        estimate_step_time(scenario, engine="event")
+        policy = scenario.policy
+        bundles = wl.dap_comm_bundles(
+            wl.preset(preset, policy), scenario.dap_n, policy.dtype.itemsize,
+            policy.activation_checkpointing)
+        assert len(partitions) == 1 and bundles
+        comm = [r for r in partitions[0].records
+                if r.category is KernelCategory.COMM]
+        assert len(comm) == len(bundles)
 
 
 class TestLadder:

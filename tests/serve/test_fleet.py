@@ -187,3 +187,22 @@ class TestChromeTrace:
         events = fleet_to_chrome(result).events
         assert any(e["ph"] == "i" and str(e["name"]).startswith("fault:")
                    for e in events)
+
+
+class TestServeCli:
+    @pytest.mark.parametrize("argv, message", [
+        (["--rate", "0"], "must be a positive finite number"),
+        (["--rate", "inf"], "must be a positive finite number"),
+        (["--rate", "nan"], "must be a positive finite number"),
+        (["--duration", "-5"], "must be a positive finite number"),
+        (["--duration", "inf"], "must be a positive finite number"),
+        (["--restart-s", "-1"], "must be a finite number >= 0"),
+    ])
+    def test_invalid_arguments_exit_2(self, argv, message, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[0]}: {message}" in err
+        assert "Traceback" not in err

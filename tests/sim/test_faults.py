@@ -353,6 +353,22 @@ class TestFaultsCli:
         assert f"error: argument {argv[1]}: must be a positive number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "--restart-s", "-1"],
+        ["faults", "--restart-s", "nan"],
+        ["faults", "--checkpoint-write-s", "nan"],
+        ["faults", "--checkpoint-write-s", "-0.5"],
+        ["faults", "--checkpoint-write-s", "inf"],
+    ])
+    def test_negative_or_non_finite_seconds_exit_2(self, argv, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[1]}: must be a finite number >= 0" in err
+        assert "Traceback" not in err
+
     def test_inf_is_a_valid_mtbf(self, tmp_path):
         payload = self._run(tmp_path, "inf.json",
                             ["--mtbf-hours", "inf", "--no-sweep"])

@@ -19,7 +19,7 @@ from repro.perf.trace_builder import build_step_trace, trace_key
 from repro.workloads import (TransformerConfig, TransformerLoss,
                              get_workload, make_token_batch)
 
-from ..perf.knob_cells import knob_cell_scenarios
+from ..perf.knob_cells import cell_id, knob_cell_scenarios, preset_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +92,9 @@ def test_step_sim_fast_event_parity(small_step):
 
 
 @pytest.mark.parametrize(
-    "scenario", knob_cell_scenarios("transformer"),
-    ids=lambda s: f"{s.gpu}-dp{s.dp_degree}-{s.ddp_bucket_mb:g}MiB")
+    "scenario",
+    knob_cell_scenarios("transformer") + preset_scenarios("transformer"),
+    ids=cell_id)
 def test_knob_cells_fast_event_parity(scenario):
     fast = estimate_step_time(scenario)
     event = estimate_step_time(scenario, engine="event")
