@@ -29,14 +29,10 @@ def knob_cell_scenarios(model: str) -> List[Scenario]:
     return scenarios
 
 
-#: The reduced model sizes every workload registers beside ``full``.
-REDUCED_PRESETS = ("tiny", "small")
-
-
 def preset_scenarios(model: str) -> List[Scenario]:
     base = get_workload(model).bench_scenario_kwargs()
     return [Scenario(workload=model, preset=preset, **base)
-            for preset in REDUCED_PRESETS]
+            for preset in ("tiny", "small")]
 
 
 def cell_id(scenario: Scenario) -> str:

@@ -16,7 +16,7 @@ from repro.perf.scaling import (LADDER_LABELS, Scenario, _scenario_key,
                                 estimate_step_time, optimization_ladder)
 from repro.workloads import get_workload
 
-from .knob_cells import REDUCED_PRESETS
+from .knob_cells import preset_scenarios
 
 
 class TestTable1:
@@ -205,29 +205,28 @@ class TestBarriers:
                                         gpu="A100", dap_n=8), base)
         assert b8.comm_overhead_s > b2.comm_overhead_s
 
-    @pytest.mark.parametrize("workload", ["alphafold", "transformer"])
-    @pytest.mark.parametrize("preset", REDUCED_PRESETS)
-    def test_preset_prices_its_own_collectives(self, workload, preset,
-                                               monkeypatch):
+    @pytest.mark.parametrize(
+        "scenario",
+        preset_scenarios("alphafold") + preset_scenarios("transformer"),
+        ids=lambda s: f"{s.workload}-{s.preset}")
+    def test_preset_prices_its_own_collectives(self, scenario, monkeypatch):
         """A reduced preset's partition carries the bundles of its own
         config (one COMM record each), not those of the full model."""
-        wl = get_workload(workload)
-        scenario = Scenario(workload=workload, preset=preset,
-                            **wl.bench_scenario_kwargs())
+        partition = scaling.partition_step
         partitions = []
 
         def spy(*args, **kwargs):
             partitions.append(partition(*args, **kwargs))
             return partitions[-1]
 
-        partition = scaling.partition_step
         monkeypatch.setattr(scaling, "partition_step", spy)
         clear_partition_cache()
+        # The event engine never reads the memo, so the estimate partitions.
         estimate_step_time(scenario, engine="event")
-        policy = scenario.policy
+        wl, policy = get_workload(scenario.workload), scenario.policy
         bundles = wl.dap_comm_bundles(
-            wl.preset(preset, policy), scenario.dap_n, policy.dtype.itemsize,
-            policy.activation_checkpointing)
+            wl.preset(scenario.preset, policy), scenario.dap_n,
+            policy.dtype.itemsize, policy.activation_checkpointing)
         assert len(partitions) == 1 and bundles
         comm = [r for r in partitions[0].records
                 if r.category is KernelCategory.COMM]
