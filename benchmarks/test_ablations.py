@@ -13,7 +13,7 @@ from conftest import run_once
 from repro.distributed.straggler import ImbalanceInputs, StragglerModel
 from repro.hardware import H100, CostModel
 from repro.hardware.cpu import CpuJitterConfig
-from repro.model.config import KernelPolicy
+from repro.model.config import AlphaFoldConfig, KernelPolicy
 from repro.perf.scaling import Scenario, estimate_step_time
 from repro.perf.step_time import simulate_step
 from repro.perf.torchcompile import apply_torch_compile
@@ -49,13 +49,16 @@ class TestAutotuneAblation:
         """§3.3.2: tuning is 'particularly useful when workload sizes were
         scaled down by DAP'."""
         from repro.distributed.dap import partition_step
+        from repro.workloads import get_workload
 
         def gains():
-            trace = build_step_trace(
-                KernelPolicy.scalefold(checkpointing=False), n_recycle=1)
+            policy = KernelPolicy.scalefold(checkpointing=False)
+            trace = build_step_trace(policy, n_recycle=1)
+            alphafold = get_workload("alphafold")
+            cfg = AlphaFoldConfig.full(policy)
             out = {}
             for n in (1, 8):
-                records = partition_step(trace, n).records
+                records = partition_step(trace, n, alphafold, cfg)
                 tuned = simulate_step(records, H100,
                                       CostModel(H100, autotune=True),
                                       graphed=True).total_s
@@ -94,7 +97,14 @@ class TestCompileScopeAblation:
 class TestStragglerAblation:
     def test_data_tail_vs_cpu_peaks(self, benchmark):
         """The paper attributes imbalance to BOTH the data pipeline and
-        background CPU peaks — separate their contributions."""
+        background CPU peaks — separate their contributions to the world
+        gate, the E[max over ranks] per step that ``estimate_step_time``
+        charges."""
+
+        def gate(jitter, inputs):
+            delays = StragglerModel(jitter, seed=0).sample_rank_delays(
+                inputs, 128, 2000)
+            return float(delays.max(axis=1).mean())
 
         def parts():
             quiet = CpuJitterConfig(peak_probability=0.0, gc_enabled=False)
@@ -104,16 +114,11 @@ class TestStragglerAblation:
                                    data_stall_mean_s=0.0)
             stalls = dataclasses.replace(base, data_stall_probability=0.08,
                                          data_stall_mean_s=1.0)
-            peaks_only = StragglerModel(noisy, seed=0).imbalance_penalty(
-                base, 128)
-            stalls_only = StragglerModel(quiet, seed=0).imbalance_penalty(
-                stalls, 128)
-            both = StragglerModel(noisy, seed=0).imbalance_penalty(
-                stalls, 128)
-            return peaks_only, stalls_only, both
+            return (gate(noisy, base), gate(quiet, stalls),
+                    gate(noisy, stalls))
 
         peaks, stalls, both = run_once(benchmark, parts)
-        print(f"\nimbalance: peaks {peaks:.3f}s, stalls {stalls:.3f}s, "
+        print(f"\nworld gate: peaks {peaks:.3f}s, stalls {stalls:.3f}s, "
               f"both {both:.3f}s")
         assert peaks > 0 and stalls > 0
         assert both > max(peaks, stalls)

@@ -38,6 +38,7 @@ from ..perf.scaling import Scenario, estimate_step_time
 from ..perf.step_time import simulate_step
 from ..perf.trace_builder import build_step_trace
 from ..perf.vector_cost import compute_cost_arrays
+from ..workloads import get_workload
 from .fit import CalibrationFit
 
 
@@ -64,11 +65,11 @@ def _tiny_record_sets() -> Dict[str, list]:
     sf_policy = KernelPolicy.scalefold(checkpointing=False)
     ref = build_step_trace(ref_policy, cfg=AlphaFoldConfig.tiny(ref_policy))
     fused = build_step_trace(sf_policy, cfg=AlphaFoldConfig.tiny(sf_policy))
-    dap = partition_step(fused, 2, AlphaFoldConfig.tiny(sf_policy),
-                         emit_comm_records=True)
+    dap = partition_step(fused, 2, get_workload("alphafold"),
+                         AlphaFoldConfig.tiny(sf_policy))
     return {"reference": list(ref.trace.records),
             "scalefold": list(fused.trace.records),
-            "dap2": list(dap.records)}
+            "dap2": dap}
 
 
 def cross_engine_gate(spec: GpuSpec,

@@ -124,9 +124,9 @@ def trace_command(argv: List[str]) -> int:
     parser.add_argument("--dp", type=_positive_int, default=1,
                         help="[export] data-parallel degree for the "
                              "multi-rank timeline")
-    parser.add_argument("-k", type=int, default=15,
+    parser.add_argument("-k", type=_positive_int, default=15,
                         help="[top] number of kernels to show")
-    parser.add_argument("--depth", type=int, default=3,
+    parser.add_argument("--depth", type=_non_negative_int, default=3,
                         help="[flame] max tree depth to print")
     parser.add_argument("--min-pct", type=float, default=0.5,
                         help="[flame] prune frames below this %% of step")
@@ -457,7 +457,8 @@ def faults_command(argv: List[str]) -> int:
                         choices=_workload_choices(),
                         help="registered workload to model "
                              "(default: alphafold)")
-    parser.add_argument("--ranks", type=int, nargs="+", default=[256, 2080],
+    parser.add_argument("--ranks", type=_positive_int, nargs="+",
+                        default=[256, 2080],
                         help="total GPU counts to evaluate "
                              "(default: 256 2080)")
     parser.add_argument("--mtbf-hours", type=_positive_float, default=26280.0,
@@ -467,7 +468,7 @@ def faults_command(argv: List[str]) -> int:
                         default=float("inf"),
                         help="per-switch MTBF for correlated node outages "
                              "(default: inf = disabled)")
-    parser.add_argument("--checkpoint-every", type=int, default=250,
+    parser.add_argument("--checkpoint-every", type=_positive_int, default=250,
                         help="checkpoint interval in steps (default: 250)")
     parser.add_argument("--checkpoint-write-s", type=_non_negative_float,
                         default=None,
@@ -476,7 +477,8 @@ def faults_command(argv: List[str]) -> int:
     parser.add_argument("--async-checkpoint", action="store_true",
                         help="model asynchronous checkpointing (brief "
                              "snapshot stall, delayed durability)")
-    parser.add_argument("--snapshot-stall-s", type=float, default=0.05,
+    parser.add_argument("--snapshot-stall-s", type=_non_negative_float,
+                        default=0.05,
                         help="[async] snapshot stall seconds (default 0.05)")
     parser.add_argument("--restart-s", type=_non_negative_float,
                         default=180.0,
@@ -491,7 +493,7 @@ def faults_command(argv: List[str]) -> int:
                         help="skip the checkpoint-interval sweep")
     parser.add_argument("--no-sim", action="store_true",
                         help="skip the DES cross-validation run")
-    parser.add_argument("--sim-max-steps", type=int, default=None,
+    parser.add_argument("--sim-max-steps", type=_positive_int, default=None,
                         help="step cap for the DES validation "
                              "(default: 2000, or 600 with --quick)")
     parser.add_argument("--quick", action="store_true",
@@ -667,14 +669,14 @@ def serve_command(argv: List[str]) -> int:
     parser.add_argument("--duration", type=_positive_finite_float,
                         default=120.0,
                         help="[fleet] arrival window, simulated seconds")
-    parser.add_argument("--frontends", type=int, default=2)
-    parser.add_argument("--prep-workers", type=int, default=4,
+    parser.add_argument("--frontends", type=_positive_int, default=2)
+    parser.add_argument("--prep-workers", type=_positive_int, default=4,
                         help="CPU feature-preparation pool size")
-    parser.add_argument("--gpu-workers", type=int, default=4)
-    parser.add_argument("--max-batch", type=int, default=4)
-    parser.add_argument("--max-wait-s", type=float, default=0.2,
+    parser.add_argument("--gpu-workers", type=_positive_int, default=4)
+    parser.add_argument("--max-batch", type=_positive_int, default=4)
+    parser.add_argument("--max-wait-s", type=_non_negative_float, default=0.2,
                         help="batching max-wait flush timer")
-    parser.add_argument("--queue-limit", type=int, default=256,
+    parser.add_argument("--queue-limit", type=_positive_int, default=256,
                         help="admission bound on in-flight requests")
     parser.add_argument("--mtbf-hours", type=_positive_float,
                         default=float("inf"),
@@ -682,7 +684,7 @@ def serve_command(argv: List[str]) -> int:
                              "enable fault injection (default: inf = off)")
     parser.add_argument("--restart-s", type=_non_negative_float, default=30.0,
                         help="[fleet] worker restart seconds after an abort")
-    parser.add_argument("--requests", type=int, default=4,
+    parser.add_argument("--requests", type=_positive_int, default=4,
                         help="[broker] concurrent requests to serve")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",

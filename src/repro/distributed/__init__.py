@@ -2,9 +2,8 @@
 
 from .collectives import (Collective, CommEvent, collective_time,
                           hierarchical_all_reduce_time)
-from .dap import (SHARDABLE_SCOPES, DapStepTrace, dap_comm_events,
-                  is_shardable, partition_step)
-from .ddp import DdpConfig, DdpCost, ddp_cost, gradient_buckets
+from .dap import SHARDABLE_SCOPES, is_shardable, partition_step
+from .ddp import gradient_buckets
 from .numeric_dap import (DapEvoformerBlock, all_gather, all_reduce,
                           all_to_all, shard)
 from .straggler import ImbalanceInputs, StragglerModel
@@ -12,9 +11,8 @@ from .topology import ClusterTopology, eos_cluster
 
 __all__ = [
     "Collective", "CommEvent", "collective_time", "hierarchical_all_reduce_time",
-    "SHARDABLE_SCOPES", "DapStepTrace", "dap_comm_events", "is_shardable",
-    "partition_step",
-    "DdpConfig", "DdpCost", "ddp_cost", "gradient_buckets",
+    "SHARDABLE_SCOPES", "is_shardable", "partition_step",
+    "gradient_buckets",
     "DapEvoformerBlock", "all_gather", "all_reduce", "all_to_all", "shard",
     "ImbalanceInputs", "StragglerModel",
     "ClusterTopology", "eos_cluster",

@@ -8,24 +8,27 @@ all-gathers (FastFold §3).  The Structure Module and data pipeline cannot be
 sharded ("serial modules", §3.1 of the ScaleFold paper).
 
 :func:`partition_step` takes a single-rank :class:`StepTrace` and produces
-the per-rank workload: every kernel inside a shardable scope has its
+the per-rank record list: every kernel inside a shardable scope has its
 FLOPs/bytes divided by n (its *shape* also shrinks, so the roofline model
 sees the smaller, less efficient workload — the "poor kernel scalability"
-barrier), plus the list of collectives the rank must issue.
+barrier), and the collectives the rank must issue sit between the records
+as COMM records at their block boundaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..framework.tracer import KernelCategory, KernelRecord
 from ..model.config import AlphaFoldConfig
 from .collectives import Collective, CommEvent
 
 if TYPE_CHECKING:  # avoid a circular import at runtime (perf -> datapipe
-    # -> sim -> distributed -> perf); StepTrace is only a type here.
+    # -> sim -> distributed -> perf, and workloads -> distributed); both are
+    # only types here.
     from ..perf.trace_builder import StepTrace
+    from ..workloads.base import Workload
 
 #: Scope prefixes whose kernels DAP shards (the MSA/pair trunk).
 SHARDABLE_SCOPES = (
@@ -50,20 +53,6 @@ def _shard_shape(shape: Tuple[int, ...], n: int) -> Tuple[int, ...]:
 def is_shardable(record: KernelRecord,
                  scopes: Tuple[str, ...] = SHARDABLE_SCOPES) -> bool:
     return record.scope.startswith(scopes)
-
-
-@dataclass
-class DapStepTrace:
-    """One rank's workload under DAP-n."""
-
-    records: List[KernelRecord]
-    comm_events: List[CommEvent]
-    dap_n: int
-    parallel_seconds_hint: float = 0.0
-
-    @property
-    def n_kernels(self) -> int:
-        return len(self.records)
 
 
 @dataclass
@@ -140,13 +129,6 @@ def dap_comm_bundles(cfg: AlphaFoldConfig, n: int, itemsize: int,
     return bundles
 
 
-def dap_comm_events(cfg: AlphaFoldConfig, n: int, itemsize: int,
-                    checkpointing: bool) -> List[CommEvent]:
-    """Flat list of the collectives one training step issues under DAP-n."""
-    return [ev for bundle in dap_comm_bundles(cfg, n, itemsize, checkpointing)
-            for ev in bundle.events]
-
-
 def _bundle_record(bundle: CommBundle, dtype: str) -> KernelRecord:
     """A COMM kernel record standing for one collective bundle in a trace."""
     return KernelRecord(
@@ -207,32 +189,24 @@ def _interleave_bundles(records: List[KernelRecord],
     return out
 
 
-def partition_step(step: "StepTrace", n: int,
-                   cfg: Optional[AlphaFoldConfig] = None,
-                   emit_comm_records: bool = False,
-                   shardable_scopes: Optional[Tuple[str, ...]] = None,
-                   bundles: Optional[List[CommBundle]] = None) -> DapStepTrace:
+def partition_step(step: "StepTrace", n: int, workload: "Workload",
+                   cfg) -> List[KernelRecord]:
     """Shard a single-rank step trace across a model-parallel group of n.
 
-    With ``emit_comm_records=True`` the per-block collective bundles are
-    additionally interleaved into ``records`` as COMM kernel records at
-    their actual trace positions (carrying their :class:`CommEvent` list in
-    ``tags["dap_bundle"]``), which the distributed step simulator uses to
-    schedule communication where it really happens.  ``comm_events`` stays
-    the flat list either way.
-
-    The defaults reproduce AlphaFold DAP exactly; other workloads pass
-    their own ``shardable_scopes`` and precomputed ``bundles`` (e.g. the
-    transformer's tensor-parallel all-reduces), making the partitioner a
-    generic scope-sharding engine.
+    Records in ``workload.shardable_scopes`` are scaled down by n, and the
+    per-block collective bundles of ``workload.dap_comm_bundles(cfg, ...)``
+    (DAP for AlphaFold, tensor parallel for the transformer) are
+    interleaved as COMM kernel records at their actual trace positions,
+    each carrying its :class:`CommEvent` list in ``tags["dap_bundle"]``;
+    the distributed step simulator schedules communication there.
+    ``cfg`` must be the config ``step`` was traced at, so the bundles are
+    sized from the same activations.
     """
-    scopes = shardable_scopes if shardable_scopes is not None \
-        else SHARDABLE_SCOPES
     if n < 1:
         raise ValueError("model-parallel degree must be >= 1")
     if n == 1:
-        return DapStepTrace(records=list(step.trace.records), comm_events=[],
-                            dap_n=1)
+        return list(step.trace.records)
+    scopes = workload.shardable_scopes
     records: List[KernelRecord] = []
     for r in step.trace.records:
         if is_shardable(r, scopes):
@@ -241,13 +215,7 @@ def partition_step(step: "StepTrace", n: int,
             records.append(shard)
         else:
             records.append(r)
-    itemsize = 2 if step.policy.dtype.name in ("bf16", "fp16") else 4
-    if bundles is None:
-        cfg = cfg or AlphaFoldConfig.full(step.policy)
-        bundles = dap_comm_bundles(cfg, n, itemsize,
-                                   step.policy.activation_checkpointing)
-    comm = [ev for bundle in bundles for ev in bundle.events]
-    if emit_comm_records:
-        records = _interleave_bundles(records, bundles,
-                                      step.policy.dtype.name)
-    return DapStepTrace(records=records, comm_events=comm, dap_n=n)
+    policy = step.policy
+    bundles = workload.dap_comm_bundles(cfg, n, policy.dtype.itemsize,
+                                        policy.activation_checkpointing)
+    return _interleave_bundles(records, bundles, policy.dtype.name)

@@ -1,34 +1,22 @@
-"""Data-parallel gradient synchronization with bucketing and overlap.
+"""Data-parallel gradient synchronization: the DDP bucket schedule.
 
 PyTorch DDP packs gradients into ~25 MB buckets and all-reduces each bucket
 as soon as its gradients are ready, overlapping communication with the rest
 of the backward pass.  ScaleFold reuses exactly these buckets for gradient
 clipping (§3.3.1) so the clip's norm computation rides along for free.
+
+This module only lays the buckets out; the rank-level simulation in
+:mod:`repro.perf.scaling` launches each one at its ready point on a per-rank
+NIC, so how much of the all-reduce backward hides is an outcome of the
+schedule, not a formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from .collectives import hierarchical_all_reduce_time
 from .topology import ClusterTopology
-
-
-@dataclass
-class DdpConfig:
-    bucket_bytes: int = 25 * 2**20
-    #: Fraction of backward compute that bucket all-reduces can hide under
-    #: (the tail bucket plus scheduling slack is never hidden).
-    overlap_efficiency: float = 0.85
-
-
-@dataclass
-class DdpCost:
-    total_comm_s: float       # raw all-reduce time for all buckets
-    exposed_comm_s: float     # what remains on the critical path
-    n_buckets: int
-    hidden_clip_s: float      # clip work hidden under communication
 
 
 def gradient_buckets(param_bytes: float, bucket_bytes: int) -> int:
@@ -36,7 +24,8 @@ def gradient_buckets(param_bytes: float, bucket_bytes: int) -> int:
 
 
 def bucket_schedule(param_bytes: float, dp_degree: int, topo: ClusterTopology,
-                    config: DdpConfig = DdpConfig()) -> List[Tuple[float, float]]:
+                    bucket_bytes: int = 25 * 2**20
+                    ) -> List[Tuple[float, float]]:
     """Per-bucket ``(ready_fraction, all_reduce_seconds)`` for the simulator.
 
     DDP fills buckets in gradient-ready (reverse layer) order and launches
@@ -47,29 +36,7 @@ def bucket_schedule(param_bytes: float, dp_degree: int, topo: ClusterTopology,
     """
     if dp_degree <= 1:
         return []
-    n_buckets = gradient_buckets(param_bytes, config.bucket_bytes)
+    n_buckets = gradient_buckets(param_bytes, bucket_bytes)
     per_bucket = param_bytes / n_buckets
     seconds = hierarchical_all_reduce_time(per_bucket, topo, dp_degree)
     return [((i + 1) / n_buckets, seconds) for i in range(n_buckets)]
-
-
-def ddp_cost(param_bytes: float, dp_degree: int, topo: ClusterTopology,
-             backward_seconds: float, config: DdpConfig = DdpConfig(),
-             clip_seconds: float = 0.0) -> DdpCost:
-    """Cost of gradient all-reduce across ``dp_degree`` replicas.
-
-    Args:
-        param_bytes: gradient payload per replica (94M params x itemsize).
-        backward_seconds: backward compute available to hide comm under.
-        clip_seconds: bucketed-clip compute that wants to hide under comm;
-            it fits as long as it is shorter than the comm itself.
-    """
-    if dp_degree <= 1:
-        return DdpCost(0.0, 0.0, 0, 0.0)
-    n_buckets = gradient_buckets(param_bytes, config.bucket_bytes)
-    total = hierarchical_all_reduce_time(param_bytes, topo, dp_degree)
-    hidden_budget = backward_seconds * config.overlap_efficiency
-    exposed = max(total - hidden_budget, total / max(n_buckets, 1))
-    hidden_clip = min(clip_seconds, total)
-    return DdpCost(total_comm_s=total, exposed_comm_s=exposed,
-                   n_buckets=n_buckets, hidden_clip_s=hidden_clip)

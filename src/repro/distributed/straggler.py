@@ -7,11 +7,14 @@ batches took significantly more time to process; and 2) background processes
 in the cluster environment."
 
 The model: per rank-step, a delay is the sum of a host-jitter term (CPU
-peaks inflating eager dispatch; zero when the step is CUDA-Graph-captured)
-and a data-stall term (positive when the rank's next batch isn't ready; zero
-under the non-blocking pipeline with enough workers).  A synchronizing group
-of R ranks pays E[max over R] instead of E[delay] — the imbalance penalty
-grows with group size, which is why DAP-4/-8 suffer most (Figure 3).
+peaks inflating eager dispatch; zero when the step is CUDA-Graph-captured),
+a Python GC pause, and a data-stall term (positive when the rank's next
+batch isn't ready; zero under the non-blocking pipeline with enough
+workers).  :func:`repro.perf.scaling.estimate_step_time` draws these delays
+for the simulated DAP ranks and for the world gate: every rank must reach
+the gradient all-reduce, so a step waits for the slowest of the whole
+synchronized world, E[max over R] per step.  That wait grows with R, which
+is why DAP-4/-8 suffer most (Figure 3).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..hardware.cpu import CpuJitterConfig, CpuJitterModel
+from ..hardware.cpu import CpuJitterConfig
 
 
 @dataclass
@@ -41,7 +44,7 @@ class ImbalanceInputs:
 
 
 class StragglerModel:
-    """Monte-Carlo estimate of synchronization-imbalance cost."""
+    """Monte-Carlo sampler of per-rank-step delays."""
 
     def __init__(self, jitter: Optional[CpuJitterConfig] = None,
                  seed: int = 7) -> None:
@@ -52,10 +55,9 @@ class StragglerModel:
                  n_steps: int) -> np.random.Generator:
         """A fresh generator derived from the seed plus the call's inputs.
 
-        Sharing one generator across ``imbalance_penalty`` and
-        ``mean_delay`` made every result depend on the order the memoized
-        estimator happened to call them in; deriving a per-call stream
-        makes each quantity a pure function of (seed, inputs, shape).
+        A generator shared across calls would make every draw depend on the
+        order the caller happened to make them in; deriving a per-call
+        stream makes each draw a pure function of (seed, inputs, shape).
         """
         material = repr((self.seed, dataclasses.astuple(inputs),
                          dataclasses.astuple(self.jitter_config),
@@ -91,22 +93,3 @@ class StragglerModel:
                                         size=(n_steps, n_ranks))
             delays += stalls * stall_len
         return delays
-
-    def imbalance_penalty(self, inputs: ImbalanceInputs, group_size: int,
-                          n_steps: int = 2000) -> float:
-        """E[max over group] - E[mean over group] of per-step delays.
-
-        This is the *extra* time synchronized ranks wait on the slowest
-        member — the paper measures it by inserting a global barrier before
-        NCCL kernels and diffing (§3.1); we compute the same quantity from
-        the sampled delay distribution.
-        """
-        if group_size <= 1:
-            return 0.0
-        delays = self.sample_rank_delays(inputs, group_size, n_steps)
-        return float((delays.max(axis=1) - delays.mean(axis=1)).mean())
-
-    def mean_delay(self, inputs: ImbalanceInputs, n_steps: int = 2000) -> float:
-        """Average per-rank delay (paid even without synchronization)."""
-        delays = self.sample_rank_delays(inputs, 1, n_steps)
-        return float(delays.mean())

@@ -1,4 +1,4 @@
-"""Host-CPU jitter model: background-process peaks and garbage collection.
+"""Host-CPU jitter calibration: background-process peaks and garbage collection.
 
 §3.1/§3.2 of the paper: "background processes in the cluster environment
 sporadically made CPU peaks and slowed down the corresponding workers ...
@@ -7,18 +7,18 @@ the training processes scheduled to these CPU cores", and §3.2's anecdote
 that "disabling Python garbage collection at runtime could alleviate machine
 CPU usage peaks".
 
-Model: per rank and per step, kernel-dispatch CPU work is multiplied by a
-slowdown factor.  Peaks arrive as a Bernoulli event per step (Poisson
-arrivals coarsened to step granularity) with a heavy-tailed magnitude;
-Python GC adds periodic pauses unless disabled.  CUDA-Graph replay is immune
-to the dispatch inflation (the whole point of §3.2).
+:class:`CpuJitterConfig` holds the calibration; its one reader is
+:meth:`repro.distributed.straggler.StragglerModel.sample_rank_delays`.  Per
+rank and per step, a peak arrives as a Bernoulli event (Poisson arrivals
+coarsened to step granularity) with a heavy-tailed dispatch slowdown that
+bites only the eager dispatch work inside the peak window; Python GC adds
+periodic pauses unless disabled.  CUDA-Graph replay is immune to the
+dispatch inflation (the whole point of §3.2), but not to GC pauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass
@@ -39,43 +39,7 @@ class CpuJitterConfig:
     gc_period_steps: float = 12.0
     gc_pause_s: float = 0.060
     #: Baseline dispatch multiplier (shared-core contention is never zero).
+    #: No sampler reads it, but it stays: ``StragglerModel`` seeds each draw
+    #: from a hash of this config's field tuple, so dropping the field would
+    #: change every sampled delay and every golden estimate.
     baseline_slowdown: float = 1.0
-
-
-class CpuJitterModel:
-    """Samples per-(rank, step) host slowdown factors and GC pauses."""
-
-    def __init__(self, config: CpuJitterConfig, seed: int = 0) -> None:
-        self.config = config
-        self._rng = np.random.default_rng(seed)
-
-    def dispatch_slowdown(self) -> float:
-        """Multiplier on per-kernel CPU dispatch time for one rank-step."""
-        cfg = self.config
-        factor = cfg.baseline_slowdown
-        if self._rng.random() < cfg.peak_probability:
-            factor *= self._rng.lognormal(np.log(cfg.peak_slowdown_mean),
-                                          cfg.peak_slowdown_sigma)
-        return float(max(factor, 1.0))
-
-    def gc_pause(self) -> float:
-        """Seconds of GC pause landing in this rank-step (0 when disabled)."""
-        cfg = self.config
-        if not cfg.gc_enabled:
-            return 0.0
-        if self._rng.random() < 1.0 / cfg.gc_period_steps:
-            return float(cfg.gc_pause_s * self._rng.lognormal(0.0, 0.35))
-        return 0.0
-
-    def step_host_overhead(self, eager_dispatch_s: float,
-                           graphed: bool) -> float:
-        """Total host-side inflation for one rank-step.
-
-        Graphed steps skip both the dispatch inflation and (in ScaleFold's
-        configuration) run with GC disabled, so they only pay replay cost —
-        which the caller accounts separately.
-        """
-        if graphed:
-            return 0.0
-        slowdown = self.dispatch_slowdown()
-        return eager_dispatch_s * (slowdown - 1.0) + self.gc_pause()

@@ -145,16 +145,14 @@ class GpuSpec:
         tf = self.peak_tflops.get(dtype, self.peak_tflops["fp32"])
         return tf * 1e12
 
-    def dispatch_seconds(self, graphed: bool = False,
-                         cpu_slowdown: float = 1.0) -> float:
+    def dispatch_seconds(self, graphed: bool = False) -> float:
         """Host cost per kernel launch on the dispatch clock.
 
-        Graph replay bypasses the eager dispatch path entirely, so it is
-        immune to host interference (``cpu_slowdown``).
+        Graph replay bypasses the eager dispatch path entirely.
         """
         if graphed:
             return self.graph_replay_overhead_us * 1e-6
-        return self.cpu_launch_overhead_us * 1e-6 * cpu_slowdown
+        return self.cpu_launch_overhead_us * 1e-6
 
     def membw(self) -> float:
         return self.mem_bw_gbps * 1e9

@@ -194,11 +194,6 @@ class CostModel:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    def trace_gpu_seconds(self, records) -> float:
-        """Sum of device time, ignoring CPU dispatch (ideal queue)."""
-        return sum(self.kernel_seconds(r) for r in records
-                   if r.category is not KernelCategory.COMM)
-
     def theoretical_seconds(self, flops: float, bytes_moved: float,
                             dtype: str = "fp32") -> float:
         """Perfect-roofline time (100% of peak): the paper's denominator for

@@ -70,14 +70,6 @@ CACHE_HIT_THRESHOLDS: Dict[str, float] = {
 CACHE_GATE_MIN_LOOKUPS = 4
 
 
-def golden_scenario(gpu: str = "H100") -> Scenario:
-    """The 64-rank pretraining configuration (DAP-8 x DP-8, all opts on)."""
-    return Scenario(policy=KernelPolicy.scalefold(checkpointing=False),
-                    gpu=gpu, dap_n=8, dp_degree=8, cuda_graphs=True,
-                    gc_disabled=True, torch_compile=True,
-                    nonblocking_pipeline=True)
-
-
 def _timed(fn: Callable[[], object]) -> Tuple[float, object]:
     t0 = time.perf_counter()
     result = fn()
@@ -150,7 +142,8 @@ def _bench_step_sim(policy: KernelPolicy, gpu: str) -> Dict[str, object]:
 
 
 def _bench_estimate(gpu: str) -> Dict[str, object]:
-    scenario = golden_scenario(gpu)
+    # The 64-rank golden: alphafold's bench scenario (DAP-8 x DP-8).
+    scenario = Scenario(**get_workload("alphafold").bench_scenario_kwargs(gpu))
     estimate_step_time(scenario)       # warm traces, partitions, cost arrays
 
     # Pre-PR-equivalent baseline: event engine with every derived cache
@@ -264,7 +257,7 @@ def _bench_incremental(gpu: str) -> Dict[str, object]:
     bypassed so the cache hits measured here are the in-memory ones the
     hit-rate gates check.
     """
-    base = golden_scenario(gpu)
+    base = Scenario(**get_workload("alphafold").bench_scenario_kwargs(gpu))
     other_gpu = "A100" if gpu != "A100" else "H100"
     store = default_store()
     was_enabled = store.enabled

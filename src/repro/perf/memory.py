@@ -118,7 +118,7 @@ def estimate_memory(cfg: Optional[AlphaFoldConfig] = None,
     """
     policy = policy or (cfg.kernel_policy if cfg else KernelPolicy.reference())
     cfg = cfg or AlphaFoldConfig.full(policy)
-    act_itemsize = 2 if policy.dtype.name in ("bf16", "fp16") else 4
+    act_itemsize = policy.dtype.itemsize
 
     n_params = _param_count(cfg)
     # Parameters/grads in the training dtype; Adam moments + master weights

@@ -41,7 +41,7 @@ import numpy as np
 from ..datapipe.sim_pipeline import PipelineFeed, StallModel, stall_model
 from ..distributed.collectives import collective_time
 from ..distributed.dap import is_shardable, partition_step
-from ..distributed.ddp import DdpConfig, bucket_schedule
+from ..distributed.ddp import bucket_schedule
 from ..distributed.straggler import ImbalanceInputs, StragglerModel
 from ..distributed.topology import ClusterTopology
 from ..framework.caching import LruCache, register_cache
@@ -472,15 +472,7 @@ def estimate_step_time(scenario: Scenario,
                   scenario.dap_n, scenario.torch_compile)
 
     def build_partition() -> _Partition:
-        itemsize = 2 if scenario.policy.dtype.name in ("bf16", "fp16") else 4
-        bundles = wl.dap_comm_bundles(
-            cfg, scenario.dap_n, itemsize,
-            scenario.policy.activation_checkpointing)
-        dap = partition_step(trace, scenario.dap_n, cfg,
-                             emit_comm_records=True,
-                             shardable_scopes=wl.shardable_scopes,
-                             bundles=bundles)
-        recs = dap.records
+        recs = partition_step(trace, scenario.dap_n, wl, cfg)
         if scenario.torch_compile:
             recs = apply_torch_compile(recs)
         scopes = wl.shardable_scopes
@@ -513,11 +505,9 @@ def estimate_step_time(scenario: Scenario,
     serial_s = sequential_sum(costs.seconds[~shardable])
     parallel_s = sequential_sum(costs.seconds[shardable])
 
-    itemsize = 2 if scenario.policy.dtype.name in ("bf16", "fp16") else 4
-    param_bytes = trace.n_params * itemsize
-    ddp_config = DdpConfig(bucket_bytes=int(scenario.ddp_bucket_mb * 2**20))
+    param_bytes = trace.n_params * scenario.policy.dtype.itemsize
     buckets = bucket_schedule(param_bytes, scenario.dp_degree, topo,
-                              config=ddp_config)
+                              bucket_bytes=int(scenario.ddp_bucket_mb * 2**20))
 
     # --- rank level, dry run: a deterministic pass (no jitter, no loader)
     # whose emergent step time is the trainer's service rate for the data

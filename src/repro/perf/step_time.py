@@ -85,22 +85,6 @@ class StepTimeBreakdown:
         return self.cpu_exposed_s / self.total_s if self.total_s else 0.0
 
 
-def default_segment_marks(records: Sequence[KernelRecord]) -> List[int]:
-    """Trace positions where the distributed layer needs timeline stamps:
-    every COMM record and every phase boundary, in one pass (replaces the
-    two O(n) scans ``estimate_step_time`` historically did per call).
-    Positions may repeat; :func:`simulate_step` dedups."""
-    marks: List[int] = []
-    prev_phase: Optional[str] = None
-    for i, r in enumerate(records):
-        if r.category is KernelCategory.COMM:
-            marks.append(i)
-        if i and r.phase != prev_phase:
-            marks.append(i)
-        prev_phase = r.phase
-    return marks
-
-
 def check_engine(engine: str) -> None:
     """Reject an engine name that is not in :data:`ENGINES`."""
     if engine not in ENGINES:
@@ -111,8 +95,6 @@ def check_engine(engine: str) -> None:
 def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
                   cost_model: Optional[CostModel] = None,
                   graphed: bool = False,
-                  cpu_slowdown: float = 1.0,
-                  extra_host_s: float = 0.0,
                   segment_marks: Optional[Sequence[int]] = None,
                   timeline: Optional[Timeline] = None,
                   rank: int = 0,
@@ -124,15 +106,13 @@ def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
     """Simulate one step over the kernel trace.
 
     Args:
-        graphed: replay from a captured CUDA Graph (tiny dispatch cost,
-            immune to ``cpu_slowdown``).
-        cpu_slowdown: host-interference multiplier on eager dispatch
-            (see :class:`repro.hardware.cpu.CpuJitterModel`).
-        extra_host_s: serial host time appended to the step (e.g. GC pause).
+        graphed: replay from a captured CUDA Graph (tiny dispatch cost).
         segment_marks: trace positions (indices into ``records``) at which
             to record GPU-timeline boundaries; the resulting
             :class:`SegmentSpan` list partitions the step (a final mark at
-            the end of the trace is implied).
+            the end of the trace is implied).  The distributed layer passes
+            ``TraceStructure.default_marks`` (every COMM record and phase
+            boundary); positions may repeat.
         timeline: optional interval log; GPU starvation spans are recorded
             as ``("gpu", "dispatch_wait")`` intervals.
         on_kernel: per-kernel completion hook called as ``(record, start_s,
@@ -150,11 +130,11 @@ def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
     recs = records if isinstance(records, list) else list(records)
     if engine == "event":
         return _simulate_step_event(
-            recs, gpu, cost_model, graphed, cpu_slowdown, extra_host_s,
-            segment_marks, timeline, rank, on_kernel)
+            recs, gpu, cost_model, graphed, segment_marks, timeline, rank,
+            on_kernel)
     return _simulate_step_fast(
-        recs, gpu, cost_model, graphed, cpu_slowdown, extra_host_s,
-        segment_marks, timeline, rank, on_kernel, costs)
+        recs, gpu, cost_model, graphed, segment_marks, timeline, rank,
+        on_kernel, costs)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +142,6 @@ def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
 # ----------------------------------------------------------------------
 def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
                         cost_model: Optional[CostModel], graphed: bool,
-                        cpu_slowdown: float, extra_host_s: float,
                         segment_marks: Optional[Sequence[int]],
                         timeline: Optional[Timeline], rank: int,
                         on_kernel: Optional[Callable],
@@ -176,7 +155,7 @@ def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
             f"trace has {len(recs)}")
     structure = costs.structure
 
-    dispatch = gpu.dispatch_seconds(graphed=graphed, cpu_slowdown=cpu_slowdown)
+    dispatch = gpu.dispatch_seconds(graphed=graphed)
     m = costs.m
     sec = costs.seconds
 
@@ -242,11 +221,10 @@ def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
                                         kernel_count=count - prev_count))
             prev_t, prev_busy, prev_count, prev_phase = t, b, count, phase
 
-    total = last_end + extra_host_s
     return StepTimeBreakdown(
-        total_s=total,
+        total_s=last_end,
         gpu_busy_s=busy,
-        cpu_exposed_s=max(total - busy, 0.0),
+        cpu_exposed_s=max(last_end - busy, 0.0),
         dispatch_total_s=dispatch * m,
         kernel_count=m,
         category_seconds=dict(costs.category_seconds),
@@ -261,13 +239,12 @@ def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
 # ----------------------------------------------------------------------
 def _simulate_step_event(recs: List[KernelRecord], gpu: GpuSpec,
                          cost_model: Optional[CostModel], graphed: bool,
-                         cpu_slowdown: float, extra_host_s: float,
                          segment_marks: Optional[Sequence[int]],
                          timeline: Optional[Timeline], rank: int,
                          on_kernel: Optional[Callable]
                          ) -> StepTimeBreakdown:
     cost_model = cost_model or CostModel(gpu)
-    dispatch = gpu.dispatch_seconds(graphed=graphed, cpu_slowdown=cpu_slowdown)
+    dispatch = gpu.dispatch_seconds(graphed=graphed)
 
     # ------------------------------------------------------------------
     # Optional pre-pass: translate trace positions into executed-kernel
@@ -405,7 +382,7 @@ def _simulate_step_event(recs: List[KernelRecord], gpu: GpuSpec,
             prev_t, prev_busy, prev_count, prev_phase = t, b, count, phase
 
     n = dispatched[0]
-    total = last_end[0] + extra_host_s
+    total = last_end[0]
     return StepTimeBreakdown(
         total_s=total,
         gpu_busy_s=busy[0],

@@ -141,6 +141,15 @@ class FleetConfig:
     seed: int = 0
     faults: Optional[FaultConfig] = None
 
+    def __post_init__(self) -> None:
+        counts = (self.n_frontends, self.n_prep_workers, self.n_gpu_workers,
+                  self.max_batch, self.queue_limit)
+        if min(counts) < 1:
+            raise ValueError("fleet frontends, workers, batch size and "
+                             "queue limit must each be >= 1")
+        if not 0.0 <= self.max_wait_s < math.inf:
+            raise ValueError("batching max wait must be finite and >= 0")
+
     def resolved_weights(self) -> Tuple[float, ...]:
         weights = self.weights or tuple(1.0 for _ in self.workloads)
         if len(weights) != len(self.workloads):

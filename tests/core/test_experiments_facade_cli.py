@@ -157,6 +157,9 @@ class TestTraceCli:
         (["--dp", "0"], "must be a positive integer"),
         (["--dap", "-2"], "must be a positive integer"),
         (["--dap", "1.5"], "invalid int value"),
+        (["-k", "-3"], "must be a positive integer"),
+        (["-k", "0"], "must be a positive integer"),
+        (["--depth", "-1"], "must be a non-negative integer"),
     ])
     def test_invalid_arguments_exit_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,12 @@
-"""DAP trace partitioning, numeric DAP equivalence, DDP overlap, stragglers."""
+"""DAP trace partitioning, numeric DAP equivalence, DDP buckets, stragglers."""
 
 import numpy as np
 import pytest
 
 from repro.distributed.collectives import Collective
-from repro.distributed.dap import (SHARDABLE_SCOPES, dap_comm_events,
-                                   is_shardable, partition_step)
-from repro.distributed.ddp import DdpConfig, ddp_cost, gradient_buckets
+from repro.distributed.dap import (dap_comm_bundles, is_shardable,
+                                   partition_step)
+from repro.distributed.ddp import bucket_schedule, gradient_buckets
 from repro.distributed.numeric_dap import (DapEvoformerBlock, all_gather,
                                            all_reduce, all_to_all, shard)
 from repro.distributed.straggler import ImbalanceInputs, StragglerModel
@@ -16,6 +16,44 @@ from repro.hardware import H100
 from repro.hardware.cpu import CpuJitterConfig
 from repro.model.config import AlphaFoldConfig, KernelPolicy
 from repro.model.evoformer import EvoformerBlock
+from repro.perf.scaling import (Scenario, _PlanOp, _run_distributed_step,
+                                estimate_step_time)
+from repro.workloads import get_workload
+
+ALPHAFOLD = get_workload("alphafold")
+
+
+def _partition(step, n):
+    return partition_step(step, n, ALPHAFOLD,
+                          AlphaFoldConfig.full(step.policy))
+
+
+def flat_comm_events(cfg, n, itemsize, checkpointing):
+    """Every collective one step issues under DAP-n, in bundle order."""
+    return [ev for bundle in dap_comm_bundles(cfg, n, itemsize, checkpointing)
+            for ev in bundle.events]
+
+
+def _without_bundles(records):
+    return [r for r in records if "dap_bundle" not in (r.tags or {})]
+
+
+def exposed_ddp_s(param_bytes, dp_degree, topo, backward_s):
+    """(exposed, raw) all-reduce seconds of one rank-level step: the DDP
+    buckets launch as ``backward_s`` of backward compute makes them ready,
+    and the optimizer update waits on all of them."""
+    plan = [_PlanOp("compute", 1e-3, "update")]
+    if backward_s > 0:
+        plan.insert(0, _PlanOp("compute", backward_s, "backward"))
+    buckets = bucket_schedule(param_bytes, dp_degree, topo)
+    stats = _run_distributed_step(plan, 1, 1, buckets)
+    return float(stats["ddp_wait"][0, 0]), sum(s for _, s in buckets)
+
+
+def _world_gate(model, inputs, group, n_steps=2000):
+    """What ``estimate_step_time`` charges a step: E[max over the group]."""
+    return float(model.sample_rank_delays(inputs, group, n_steps)
+                 .max(axis=1).mean())
 
 
 class TestShardingPrimitives:
@@ -87,21 +125,22 @@ class TestNumericDapEquivalence:
 
 class TestTracePartitioning:
     def test_dap1_is_identity(self, reference_step_trace):
-        dap = partition_step(reference_step_trace, 1)
-        assert dap.n_kernels == reference_step_trace.n_kernels
-        assert not dap.comm_events
+        records = _partition(reference_step_trace, 1)
+        assert len(records) == reference_step_trace.n_kernels
+        assert _without_bundles(records) == records
 
     def test_shardable_work_scales(self, reference_step_trace):
-        dap = partition_step(reference_step_trace, 4)
-        for orig, shd in zip(reference_step_trace.trace.records, dap.records):
+        records = _without_bundles(_partition(reference_step_trace, 4))
+        assert len(records) == reference_step_trace.n_kernels
+        for orig, shd in zip(reference_step_trace.trace.records, records):
             if is_shardable(orig):
                 assert shd.flops == pytest.approx(orig.flops / 4)
             else:
                 assert shd.flops == orig.flops
 
     def test_serial_scopes_untouched(self, reference_step_trace):
-        dap = partition_step(reference_step_trace, 8)
-        structure = [r for r in dap.records
+        records = _partition(reference_step_trace, 8)
+        structure = [r for r in records
                      if r.scope.startswith("alphafold/structure_module")]
         orig = [r for r in reference_step_trace.trace.records
                 if r.scope.startswith("alphafold/structure_module")]
@@ -110,7 +149,7 @@ class TestTracePartitioning:
 
     def test_comm_events_scale_with_blocks(self):
         cfg = AlphaFoldConfig.full()
-        events = dap_comm_events(cfg, 4, itemsize=2, checkpointing=False)
+        events = flat_comm_events(cfg, 4, itemsize=2, checkpointing=False)
         # 6 per trunk block x 2 passes + 2 per template block x 2 passes
         expected = (cfg.evoformer_blocks + cfg.extra_msa_blocks) * 6 * 2 \
             + cfg.template_blocks * 2 * 2
@@ -118,16 +157,16 @@ class TestTracePartitioning:
 
     def test_checkpointing_adds_recompute_comms(self):
         cfg = AlphaFoldConfig.full()
-        without = dap_comm_events(cfg, 4, 2, checkpointing=False)
-        with_ck = dap_comm_events(cfg, 4, 2, checkpointing=True)
+        without = flat_comm_events(cfg, 4, 2, checkpointing=False)
+        with_ck = flat_comm_events(cfg, 4, 2, checkpointing=True)
         assert len(with_ck) == pytest.approx(len(without) * 1.5, rel=0.01)
 
     def test_dap1_no_comm(self):
-        assert dap_comm_events(AlphaFoldConfig.full(), 1, 4, True) == []
+        assert flat_comm_events(AlphaFoldConfig.full(), 1, 4, True) == []
 
     def test_invalid_degree(self, reference_step_trace):
         with pytest.raises(ValueError):
-            partition_step(reference_step_trace, 0)
+            _partition(reference_step_trace, 0)
 
 
 class TestDdp:
@@ -137,25 +176,21 @@ class TestDdp:
         assert gradient_buckets(94e6 * 4, 25 * 2**20) == 15
 
     def test_single_replica_free(self):
-        cost = ddp_cost(375e6, 1, self.TOPO, backward_seconds=1.0)
-        assert cost.total_comm_s == 0.0
+        assert bucket_schedule(375e6, 1, self.TOPO) == []
 
     def test_overlap_hides_most_comm(self):
-        cost = ddp_cost(375e6, 256, self.TOPO, backward_seconds=3.0)
-        assert cost.exposed_comm_s < cost.total_comm_s
+        exposed, raw = exposed_ddp_s(375e6, 256, self.TOPO, backward_s=3.0)
+        assert 0.0 < exposed < raw
 
     def test_no_backward_no_overlap(self):
-        cost = ddp_cost(375e6, 256, self.TOPO, backward_seconds=0.0)
-        assert cost.exposed_comm_s == pytest.approx(cost.total_comm_s)
+        exposed, raw = exposed_ddp_s(375e6, 256, self.TOPO, backward_s=0.0)
+        assert exposed == pytest.approx(raw)
 
     def test_bf16_grads_cheaper(self):
-        fp32 = ddp_cost(375e6, 64, self.TOPO, 0.0)
-        bf16 = ddp_cost(188e6, 64, self.TOPO, 0.0)
-        assert bf16.total_comm_s < fp32.total_comm_s
-
-    def test_hidden_clip_bounded_by_comm(self):
-        cost = ddp_cost(375e6, 64, self.TOPO, 1.0, clip_seconds=100.0)
-        assert cost.hidden_clip_s <= cost.total_comm_s
+        def comm_s(param_bytes):
+            return sum(s for _, s in bucket_schedule(param_bytes, 64,
+                                                     self.TOPO))
+        assert comm_s(188e6) < comm_s(375e6)
 
 
 class TestStraggler:
@@ -165,16 +200,17 @@ class TestStraggler:
                                data_stall_mean_s=2.0)
 
     def test_penalty_zero_for_single_rank(self):
-        model = StragglerModel()
-        assert model.imbalance_penalty(self._inputs(), 1) == 0.0
+        """A one-rank world waits on no one: no gate, no jitter."""
+        est = estimate_step_time(Scenario(preset="tiny", dp_degree=1))
+        assert est.imbalance_s == 0.0
 
     def test_penalty_grows_with_group_size(self):
+        """The world gate: a larger synchronized group waits longer on
+        its slowest member."""
         model = StragglerModel(seed=1)
-        p8 = model.imbalance_penalty(self._inputs(stall_p=0.05), 8,
-                                     n_steps=3000)
-        model = StragglerModel(seed=1)
-        p128 = model.imbalance_penalty(self._inputs(stall_p=0.05), 128,
-                                       n_steps=3000)
+        p8 = _world_gate(model, self._inputs(stall_p=0.05), 8, n_steps=3000)
+        p128 = _world_gate(model, self._inputs(stall_p=0.05), 128,
+                           n_steps=3000)
         assert p128 > p8
 
     def test_graphed_immune_to_cpu_peaks(self):
@@ -201,16 +237,15 @@ class TestStraggler:
     def test_data_stalls_contribute(self):
         cfg = CpuJitterConfig(gc_enabled=False)
         model = StragglerModel(jitter=cfg, seed=4)
-        quiet = model.imbalance_penalty(
-            self._inputs(graphed=True, stall_p=0.0), 64)
-        model = StragglerModel(jitter=cfg, seed=4)
-        stalls = model.imbalance_penalty(
-            self._inputs(graphed=True, stall_p=0.1), 64)
+        quiet = _world_gate(model, self._inputs(graphed=True, stall_p=0.0), 64)
+        stalls = _world_gate(model, self._inputs(graphed=True, stall_p=0.1),
+                             64)
         assert stalls > quiet
 
     def test_mean_delay_nonnegative(self):
         model = StragglerModel(seed=5)
-        assert model.mean_delay(self._inputs(stall_p=0.02)) >= 0
+        delays = model.sample_rank_delays(self._inputs(stall_p=0.02), 1, 2000)
+        assert delays.min() >= 0 and delays.mean() >= 0
 
 
 class TestStragglerCallOrderDeterminism:
@@ -222,17 +257,20 @@ class TestStragglerCallOrderDeterminism:
                                data_stall_probability=stall_p,
                                data_stall_mean_s=2.0)
 
-    def test_penalty_then_mean_equals_mean_then_penalty(self):
+    def test_either_draw_order(self):
+        """The estimate draws (group, 500) for the world gate and
+        (dap_n, 10) for the simulated ranks; either order gives the same
+        two arrays."""
         model = StragglerModel(seed=11)
-        penalty_first = model.imbalance_penalty(self._inputs(), 16)
-        mean_after = model.mean_delay(self._inputs())
+        gate_first = model.sample_rank_delays(self._inputs(), 16, 500)
+        ranks_after = model.sample_rank_delays(self._inputs(), 4, 10)
 
         model = StragglerModel(seed=11)
-        mean_first = model.mean_delay(self._inputs())
-        penalty_after = model.imbalance_penalty(self._inputs(), 16)
+        ranks_first = model.sample_rank_delays(self._inputs(), 4, 10)
+        gate_after = model.sample_rank_delays(self._inputs(), 16, 500)
 
-        assert penalty_first == penalty_after
-        assert mean_after == mean_first
+        assert np.array_equal(gate_first, gate_after)
+        assert np.array_equal(ranks_first, ranks_after)
 
     def test_repeated_calls_identical_without_reseeding(self):
         model = StragglerModel(seed=11)

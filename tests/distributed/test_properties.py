@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from repro.distributed.collectives import (Collective, CommEvent,
                                            collective_time,
                                            hierarchical_all_reduce_time)
-from repro.distributed.dap import dap_comm_events
-from repro.distributed.ddp import ddp_cost
 from repro.distributed.topology import ClusterTopology
 from repro.hardware import H100
 from repro.kernels.autotune import KernelConfig
 from repro.model.config import AlphaFoldConfig
+
+from .test_dap_ddp_straggler import exposed_ddp_s, flat_comm_events
 
 TOPO = ClusterTopology(gpu=H100, n_gpus=4096)
 
@@ -58,33 +58,35 @@ class TestDapCommProperties:
     @given(st.integers(2, 8), st.sampled_from([2, 4]))
     @settings(max_examples=20, deadline=None)
     def test_event_payloads_positive(self, n, itemsize):
-        events = dap_comm_events(AlphaFoldConfig.full(), n, itemsize,
-                                 checkpointing=False)
+        events = flat_comm_events(AlphaFoldConfig.full(), n, itemsize,
+                                  checkpointing=False)
         assert all(e.payload_bytes > 0 for e in events)
         assert all(e.group_size == n for e in events)
 
     def test_bf16_halves_payloads(self):
         cfg = AlphaFoldConfig.full()
-        fp32 = dap_comm_events(cfg, 4, 4, False)
-        bf16 = dap_comm_events(cfg, 4, 2, False)
+        fp32 = flat_comm_events(cfg, 4, 4, False)
+        bf16 = flat_comm_events(cfg, 4, 2, False)
         assert sum(e.payload_bytes for e in bf16) == pytest.approx(
             sum(e.payload_bytes for e in fp32) / 2)
 
 
 class TestDdpProperties:
+    """The rank-level bucket schedule: what backward hides is simulated."""
+
     @given(st.floats(1e6, 1e9), st.integers(2, 2048),
            st.floats(0.0, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_exposed_never_exceeds_total(self, payload, degree, backward):
-        cost = ddp_cost(payload, degree, TOPO, backward)
-        assert 0 <= cost.exposed_comm_s <= cost.total_comm_s + 1e-12
+        exposed, raw = exposed_ddp_s(payload, degree, TOPO, backward)
+        assert 0 <= exposed <= raw + 1e-12
 
     @given(st.floats(1e6, 1e9), st.integers(2, 256))
     @settings(max_examples=30, deadline=None)
     def test_more_backward_more_overlap(self, payload, degree):
-        little = ddp_cost(payload, degree, TOPO, backward_seconds=0.01)
-        lots = ddp_cost(payload, degree, TOPO, backward_seconds=100.0)
-        assert lots.exposed_comm_s <= little.exposed_comm_s + 1e-12
+        little, _ = exposed_ddp_s(payload, degree, TOPO, backward_s=0.01)
+        lots, _ = exposed_ddp_s(payload, degree, TOPO, backward_s=100.0)
+        assert lots <= little + 1e-12
 
 
 class TestKernelConfigProperties:

@@ -1,11 +1,12 @@
-"""GPU specs, roofline cost model, CUDA Graph cache, CPU jitter."""
+"""GPU specs, roofline cost model, CUDA Graph cache, CPU jitter config."""
 
 import numpy as np
 import pytest
 
+from repro.distributed.straggler import ImbalanceInputs, StragglerModel
 from repro.framework.tracer import KernelCategory, KernelRecord
 from repro.hardware import (A100, H100, CostModel, CpuJitterConfig,
-                            CpuJitterModel, CudaGraphCache, get_gpu)
+                            CudaGraphCache, get_gpu)
 
 
 def record(name="k", category=KernelCategory.MEMORY, flops=0.0, bytes_=1e6,
@@ -91,12 +92,6 @@ class TestCostModel:
         r = record(bytes_=1e8, flops=1e9)
         assert cm.theoretical_seconds(r.flops, r.bytes) < cm.kernel_seconds(r)
 
-    def test_trace_gpu_seconds_sums(self):
-        cm = CostModel(H100)
-        records = [record(bytes_=1e7) for _ in range(5)]
-        total = cm.trace_gpu_seconds(records)
-        assert total == pytest.approx(5 * cm.kernel_seconds(records[0]))
-
     def test_tunable_kernel_uses_autotuner(self):
         cm = CostModel(H100, autotune=True)
         r = record(bytes_=32e6, tunable="fused_layernorm", fused=True)
@@ -168,28 +163,31 @@ class TestCudaGraphCache:
 
 
 class TestCpuJitter:
+    """The config's fields as ``StragglerModel.sample_rank_delays``, their
+    one reader, applies them (graphed immunity and GC-off are covered in
+    ``tests/distributed``)."""
+
+    @staticmethod
+    def _delays(cfg, seed, graphed=False, n_steps=2000):
+        inputs = ImbalanceInputs(eager_dispatch_s=1.0, graphed=graphed,
+                                 data_stall_probability=0.0,
+                                 data_stall_mean_s=0.0)
+        return StragglerModel(cfg, seed=seed).sample_rank_delays(
+            inputs, 1, n_steps)[:, 0]
+
     def test_slowdown_at_least_one(self):
-        model = CpuJitterModel(CpuJitterConfig(), seed=0)
-        for _ in range(200):
-            assert model.dispatch_slowdown() >= 1.0
+        # A peak's slowdown is clipped at 1x: it never speeds a rank up.
+        delays = self._delays(CpuJitterConfig(peak_probability=0.5,
+                                              peak_slowdown_mean=1.0,
+                                              gc_enabled=False), seed=0)
+        assert delays.min() >= 0.0
 
     def test_peaks_occur_at_configured_rate(self):
-        cfg = CpuJitterConfig(peak_probability=0.5)
-        model = CpuJitterModel(cfg, seed=1)
-        slowdowns = [model.dispatch_slowdown() for _ in range(2000)]
-        peaked = np.mean([s > 1.0 for s in slowdowns])
+        cfg = CpuJitterConfig(peak_probability=0.5, gc_enabled=False)
+        peaked = np.mean(self._delays(cfg, seed=1) > 0.0)
         assert 0.4 < peaked < 0.6
 
     def test_gc_pause_rate(self):
         cfg = CpuJitterConfig(gc_period_steps=4.0)
-        model = CpuJitterModel(cfg, seed=2)
-        pauses = [model.gc_pause() for _ in range(2000)]
-        assert 0.15 < np.mean([p > 0 for p in pauses]) < 0.35
-
-    def test_gc_disabled(self):
-        model = CpuJitterModel(CpuJitterConfig(gc_enabled=False), seed=3)
-        assert all(model.gc_pause() == 0.0 for _ in range(100))
-
-    def test_graphed_step_has_no_dispatch_overhead(self):
-        model = CpuJitterModel(CpuJitterConfig(), seed=4)
-        assert model.step_host_overhead(1.0, graphed=True) == 0.0
+        pauses = self._delays(cfg, seed=2, graphed=True)
+        assert 0.15 < np.mean(pauses > 0) < 0.35

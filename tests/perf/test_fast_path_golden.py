@@ -2,9 +2,12 @@
 
 Every simulated number — totals, aggregates, segments, timeline intervals,
 per-kernel replay timestamps — is compared with exact ``==`` across a grid
-of policies, dispatch regimes, slowdowns, and segment-mark shapes.  Any
+of policies, dispatch regimes (eager, graphed, a slowed host) and
+segment-mark shapes.  Any
 drift here invalidates the fast path's contract (and fails ``repro bench``).
 """
+
+import dataclasses
 
 import pytest
 
@@ -15,10 +18,11 @@ from repro.model.config import AlphaFoldConfig, KernelPolicy
 from repro.perf import step_time
 from repro.perf.bench import breakdowns_equal, estimates_equal
 from repro.perf.scaling import Scenario, estimate_step_time
-from repro.perf.step_time import default_segment_marks, simulate_step
+from repro.perf.step_time import simulate_step
 from repro.perf.trace_builder import build_step_trace
-from repro.perf.vector_cost import compute_cost_arrays
+from repro.perf.vector_cost import compute_cost_arrays, extract_structure
 from repro.sim.des import Timeline
+from repro.workloads import get_workload
 
 from .knob_cells import cell_id, knob_cell_scenarios, preset_scenarios
 
@@ -32,16 +36,19 @@ def tiny_traces():
     ref = build_step_trace(ref_policy, cfg=AlphaFoldConfig.tiny(ref_policy))
     sf = build_step_trace(sf_policy, cfg=AlphaFoldConfig.tiny(sf_policy))
     cfg = AlphaFoldConfig.tiny(sf_policy)
-    dap = partition_step(sf, 2, cfg, emit_comm_records=True)
     return {
         "reference": list(ref.trace.records),
         "scalefold": list(sf.trace.records),
-        "dap2": list(dap.records),
+        "dap2": partition_step(sf, 2, get_workload("alphafold"), cfg),
     }
 
 
-def _run_both(records, gpu_name="A100", **kwargs):
+def _run_both(records, gpu_name="A100", dispatch_scale=1.0, **kwargs):
     gpu = get_gpu(gpu_name)
+    if dispatch_scale != 1.0:
+        gpu = dataclasses.replace(
+            gpu, cpu_launch_overhead_us=gpu.cpu_launch_overhead_us
+            * dispatch_scale)
     cost = CostModel(gpu, autotune=True)
     event = simulate_step(records, gpu, cost, engine="event", **kwargs)
     fast = simulate_step(records, gpu, cost, engine="fast", **kwargs)
@@ -51,19 +58,19 @@ def _run_both(records, gpu_name="A100", **kwargs):
 class TestGoldenGrid:
     @pytest.mark.parametrize("trace_key", ["reference", "scalefold", "dap2"])
     @pytest.mark.parametrize("graphed", [False, True])
-    @pytest.mark.parametrize("cpu_slowdown", [1.0, 2.5])
+    @pytest.mark.parametrize("dispatch_scale", [1.0, 2.5])
     def test_breakdown_identical(self, tiny_traces, trace_key, graphed,
-                                 cpu_slowdown):
+                                 dispatch_scale):
+        # 2.5x the eager launch cost is the host under a CPU peak.
         event, fast = _run_both(tiny_traces[trace_key], graphed=graphed,
-                                cpu_slowdown=cpu_slowdown,
-                                extra_host_s=0.003)
+                                dispatch_scale=dispatch_scale)
         assert breakdowns_equal(event, fast)
 
     @pytest.mark.parametrize("trace_key", ["scalefold", "dap2"])
     def test_default_and_adversarial_marks(self, tiny_traces, trace_key):
         records = tiny_traces[trace_key]
         n = len(records)
-        default = list(default_segment_marks(records))
+        default = extract_structure(records).default_marks.tolist()
         adversarial = [0, 5, 5, n // 2, n + 7]  # dupes + out of range
         for marks in (default, adversarial):
             event, fast = _run_both(records, segment_marks=marks)

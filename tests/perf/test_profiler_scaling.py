@@ -228,7 +228,7 @@ class TestBarriers:
             wl.preset(scenario.preset, policy), scenario.dap_n,
             policy.dtype.itemsize, policy.activation_checkpointing)
         assert len(partitions) == 1 and bundles
-        comm = [r for r in partitions[0].records
+        comm = [r for r in partitions[0]
                 if r.category is KernelCategory.COMM]
         assert len(comm) == len(bundles)
 

@@ -87,23 +87,6 @@ class TestSimulateStep:
         assert graphed.total_s < eager.total_s
         assert graphed.cpu_exposed_s < 0.1 * max(eager.cpu_exposed_s, 1e-9)
 
-    def test_cpu_slowdown_inflates_eager_only(self, reference_step_trace):
-        cm = CostModel(A100, autotune=False)
-        base = simulate_step(reference_step_trace.trace, A100, cm)
-        slow = simulate_step(reference_step_trace.trace, A100, cm,
-                             cpu_slowdown=4.0)
-        graphed = simulate_step(reference_step_trace.trace, A100, cm,
-                                graphed=True, cpu_slowdown=4.0)
-        assert slow.total_s > base.total_s
-        assert graphed.cpu_exposed_s < 0.1
-
-    def test_extra_host_time_added(self, reference_step_trace):
-        cm = CostModel(A100, autotune=False)
-        base = simulate_step(reference_step_trace.trace, A100, cm)
-        with_gc = simulate_step(reference_step_trace.trace, A100, cm,
-                                extra_host_s=0.5)
-        assert with_gc.total_s == pytest.approx(base.total_s + 0.5, rel=1e-6)
-
     def test_hidden_by_comm_records_skipped(self):
         hidden = KernelRecord("h", KernelCategory.MEMORY, 1e9, 1e9, (1,),
                               "fp32", "", True, "update", None,

@@ -189,6 +189,18 @@ class TestChromeTrace:
                    for e in events)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("max_batch", 0), ("n_frontends", 0), ("n_prep_workers", 0),
+        ("n_gpu_workers", 0), ("queue_limit", 0), ("max_wait_s", -1.0),
+        ("max_wait_s", math.nan), ("max_wait_s", math.inf),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        # A zero batch would flush empty batches forever at one instant.
+        with pytest.raises(ValueError):
+            FleetConfig(**{field: value})
+
+
 class TestServeCli:
     @pytest.mark.parametrize("argv, message", [
         (["--rate", "0"], "must be a positive finite number"),
@@ -197,6 +209,14 @@ class TestServeCli:
         (["--duration", "-5"], "must be a positive finite number"),
         (["--duration", "inf"], "must be a positive finite number"),
         (["--restart-s", "-1"], "must be a finite number >= 0"),
+        (["--max-batch", "0"], "must be a positive integer"),
+        (["--prep-workers", "0"], "must be a positive integer"),
+        (["--gpu-workers", "0"], "must be a positive integer"),
+        (["--frontends", "0"], "must be a positive integer"),
+        (["--queue-limit", "0"], "must be a positive integer"),
+        (["--requests", "0"], "must be a positive integer"),
+        (["--max-wait-s", "nan"], "must be a finite number >= 0"),
+        (["--max-wait-s", "-0.1"], "must be a finite number >= 0"),
     ])
     def test_invalid_arguments_exit_2(self, argv, message, capsys):
         from repro.cli import main

@@ -359,6 +359,8 @@ class TestFaultsCli:
         ["faults", "--checkpoint-write-s", "nan"],
         ["faults", "--checkpoint-write-s", "-0.5"],
         ["faults", "--checkpoint-write-s", "inf"],
+        ["faults", "--snapshot-stall-s", "-1"],
+        ["faults", "--snapshot-stall-s", "nan"],
     ])
     def test_negative_or_non_finite_seconds_exit_2(self, argv, capsys):
         from repro.cli import main
@@ -367,6 +369,22 @@ class TestFaultsCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {argv[1]}: must be a finite number >= 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--ranks", "0"], "must be a positive integer"),
+        (["--ranks", "256", "-8"], "must be a positive integer"),
+        (["--checkpoint-every", "0"], "must be a positive integer"),
+        (["--sim-max-steps", "-3"], "must be a positive integer"),
+        (["--sim-max-steps", "0"], "must be a positive integer"),
+    ])
+    def test_invalid_arguments_exit_2(self, argv, message, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[0]}: {message}" in err
         assert "Traceback" not in err
 
     def test_inf_is_a_valid_mtbf(self, tmp_path):

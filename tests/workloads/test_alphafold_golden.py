@@ -12,8 +12,8 @@ import pytest
 from repro.hardware import CostModel
 from repro.hardware.gpu import get_gpu
 from repro.model.config import KernelPolicy
-from repro.perf.bench import golden_scenario
-from repro.perf.scaling import clear_estimate_cache, estimate_step_time
+from repro.perf.scaling import (Scenario, clear_estimate_cache,
+                                estimate_step_time)
 from repro.perf.step_time import simulate_step
 from repro.perf.trace_builder import build_step_trace, trace_key
 from repro.workloads import get_workload
@@ -49,7 +49,8 @@ def test_small_trace_bit_identical(golden):
 def test_estimate_64rank_bit_identical(golden):
     expect = golden["estimate_64rank"]
     clear_estimate_cache()
-    est = estimate_step_time(golden_scenario("H100"))
+    wl = get_workload("alphafold")
+    est = estimate_step_time(Scenario(**wl.bench_scenario_kwargs("H100")))
     got = est.as_dict()
     for key, value in expect.items():
         assert got[key] == value, f"estimate field {key!r} drifted"
