@@ -26,14 +26,13 @@ check does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..distributed.dap import partition_step
 from ..framework.tracer import KernelCategory
 from ..hardware.gpu import GpuSpec, get_gpu, register_gpu
 from ..hardware.roofline import CostModel
 from ..model.config import AlphaFoldConfig, KernelPolicy
-from ..perf.bench import breakdowns_equal
 from ..perf.scaling import Scenario, estimate_step_time
 from ..perf.step_time import simulate_step
 from ..perf.trace_builder import build_step_trace
@@ -82,8 +81,7 @@ def cross_engine_gate(spec: GpuSpec,
     for label, records in record_sets.items():
         event = simulate_step(records, spec, cost, engine="event")
         fast = simulate_step(records, spec, cost, engine="fast")
-        result.checks[f"fast_event_match:{label}"] = \
-            breakdowns_equal(event, fast)
+        result.checks[f"fast_event_match:{label}"] = event == fast
         result.details[f"total_s:{label}"] = fast.total_s
 
     # Element-by-element scalar-vs-vectorized costing on the DAP trace

@@ -285,9 +285,9 @@ def bench_command(argv: List[str]) -> int:
     """
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Benchmark the simulation pipeline (trace build, "
-                    "step simulation engines, 64-rank estimate, ladder "
-                    "sweep) and write BENCH_simulation.json.")
+        description="Benchmark the simulation pipeline (cross-workload "
+                    "fast-vs-event table, ladder sweep, cache hit-rate "
+                    "gates) and write BENCH_simulation.json.")
     parser.add_argument("--gpu", default="H100", help="GPU spec name")
     parser.add_argument("--workload", default="all",
                         choices=_workload_choices() + ["all"],
@@ -295,8 +295,6 @@ def bench_command(argv: List[str]) -> int:
                              "(default: all registered)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced sweep for CI (fewer ladder rungs)")
-    parser.add_argument("--skip-ladder", action="store_true",
-                        help="skip the optimization-ladder sweep stage")
     parser.add_argument("--output", "-o", default="BENCH_simulation.json",
                         help="report path (default: BENCH_simulation.json)")
     args = parser.parse_args(argv)
@@ -304,8 +302,7 @@ def bench_command(argv: List[str]) -> int:
     from .perf.bench import format_bench, run_bench, write_bench
 
     workloads = None if args.workload == "all" else [args.workload]
-    report = run_bench(gpu=args.gpu, quick=args.quick,
-                       skip_ladder=args.skip_ladder, workloads=workloads)
+    report = run_bench(gpu=args.gpu, quick=args.quick, workloads=workloads)
     write_bench(args.output, report)
     print(format_bench(report))
     print(f"wrote {args.output}")

@@ -7,17 +7,20 @@ recaptured.  To address this, we designed a CUDA Graph cache that can
 capture multiple graphs for different recycling scenarios."
 
 The model: a step executed eagerly pays ``cpu_launch_overhead_us`` of host
-work per kernel (inflated by CPU peaks); a step replayed from a captured
-graph pays ``graph_replay_overhead_us`` per kernel and is immune to CPU
-peaks.  Capture itself costs one eager pass plus a fixed instantiation
-overhead.  The cache is keyed by the recycling iteration count (the dynamic
-shape in AlphaFold training).
+work per kernel; a step replayed from a captured graph pays
+``graph_replay_overhead_us`` per kernel (both through
+:meth:`GpuSpec.dispatch_seconds`).  CPU peaks, which only eager steps pay,
+are modelled per rank by
+:meth:`repro.distributed.straggler.StragglerModel.sample_rank_delays`.
+Capture itself costs one eager pass plus a fixed instantiation overhead.
+The cache is keyed by the recycling iteration count (the dynamic shape in
+AlphaFold training).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional
 
 from .gpu import GpuSpec
 
@@ -76,13 +79,13 @@ class CudaGraphCache:
     # ------------------------------------------------------------------
     # Cost model hooks
     # ------------------------------------------------------------------
-    def eager_cpu_seconds(self, n_kernels: int, cpu_slowdown: float = 1.0) -> float:
-        """Host dispatch cost of one eager step (inflated by CPU peaks)."""
-        return n_kernels * self.gpu.cpu_launch_overhead_us * 1e-6 * cpu_slowdown
+    def eager_cpu_seconds(self, n_kernels: int) -> float:
+        """Host dispatch cost of one eager step."""
+        return n_kernels * self.gpu.dispatch_seconds()
 
     def replay_cpu_seconds(self, n_kernels: int) -> float:
-        """Host cost of replaying a captured graph (CPU-peak immune)."""
-        return n_kernels * self.gpu.graph_replay_overhead_us * 1e-6
+        """Host cost of replaying a captured graph."""
+        return n_kernels * self.gpu.dispatch_seconds(graphed=True)
 
     def capture_seconds(self, n_kernels: int) -> float:
         """One-time capture cost: an eager pass plus instantiation."""

@@ -27,7 +27,7 @@ import dataclasses
 import difflib
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,8 @@ autotuning matters most at DAP-scaled-down workload sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

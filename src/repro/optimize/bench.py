@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..framework.trace_io import default_store
-from ..perf.bench import _timed, estimates_equal
+from ..perf.bench import _timed
 from ..perf.scaling import (clear_estimate_cache, clear_partition_cache,
                             estimate_step_time)
 from ..perf.trace_builder import clear_cache as clear_trace_cache
@@ -80,7 +80,7 @@ def verify_incremental(result: SearchResult) -> Dict[str, object]:
         for scenario, warm_est in zip(scenarios, warm):
             _clear_derived_caches()
             cold_est = estimate_step_time(scenario)
-            if not estimates_equal(warm_est, cold_est):
+            if warm_est != cold_est:
                 mismatches.append(scenario.label())
     finally:
         store.enabled = was_enabled

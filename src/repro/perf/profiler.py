@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..framework.tracer import KernelCategory, Trace
+from ..framework.tracer import KernelCategory
 from ..hardware.gpu import GpuSpec
 from ..hardware.roofline import CostModel
-from ..model.config import KernelPolicy
 from .step_time import matching_seconds, scope_seconds, simulate_step
-from .trace_builder import StepTrace, build_step_trace
+from .trace_builder import StepTrace
 
 
 def _pct(part: float, total: float) -> float:
@@ -101,7 +100,7 @@ def key_operation_analysis(reference: StepTrace, fused: StepTrace,
         ("GradClip", dict(name_prefixes=("clip_",)), ("bucket_",)),
     ]
     out: List[KeyOperationStats] = []
-    dispatch_s = gpu.cpu_launch_overhead_us * 1e-6
+    dispatch_s = gpu.dispatch_seconds()
     for name, ref_filter, fused_prefixes in groups:
         ref_secs, ref_calls = matching_seconds(
             reference.trace, cost_model,

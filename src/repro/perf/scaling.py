@@ -144,11 +144,12 @@ class StepEstimate:
     kernel_count: int
     stall: StallModel
     #: Per-rank interval attribution; only ``engine="event"`` records it.
-    timeline: Optional[Timeline] = None
+    #: Left out of ``==``, so a fast and an event estimate compare equal.
+    timeline: Optional[Timeline] = field(default=None, compare=False)
 
     def as_dict(self) -> Dict[str, float]:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-               if f.name != "timeline"}
+               if f.compare}
         out["stall"] = dataclasses.asdict(self.stall)
         return out
 

@@ -82,7 +82,8 @@ class FaultConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mtbf_rank_hours <= 0 or self.switch_mtbf_hours <= 0:
+        # NaN fails every comparison, so this form rejects it.
+        if not (self.mtbf_rank_hours > 0 and self.switch_mtbf_hours > 0):
             raise ValueError("MTBF must be positive (use inf to disable)")
         total = self.p_crash + self.p_hang + self.p_slow
         if abs(total - 1.0) > 1e-9:
@@ -276,10 +277,13 @@ class CheckpointPolicy:
     snapshot_stall_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.every_steps < 1:
+        if not self.every_steps >= 1:
             raise ValueError("checkpoint interval must be >= 1 step")
-        if self.write_s < 0 or self.snapshot_stall_s < 0:
-            raise ValueError("checkpoint costs must be non-negative")
+        # NaN fails every comparison, so this form rejects it.
+        if not (0 <= self.write_s < math.inf
+                and 0 <= self.snapshot_stall_s < math.inf):
+            raise ValueError("checkpoint costs must be finite and "
+                             "non-negative")
 
     @property
     def overhead_s(self) -> float:

@@ -5,13 +5,13 @@ captured graph keeps getting invalidated; ScaleFold's fix is a cache of
 captured graphs keyed by the recycling count.  This module simulates a
 training loop drawing random recycling counts and accounts the host-side
 cost of every step: the first step at each count pays capture, subsequent
-steps replay — and the whole loop stays immune to CPU peaks afterward.
+steps replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -71,14 +71,12 @@ class GraphedStepRunner:
             self._kernel_counts[n_recycle] = trace.n_kernels
         return self._kernel_counts[n_recycle]
 
-    def run_step(self, step: int, n_recycle: int,
-                 cpu_slowdown: float = 1.0) -> GraphedStepRecord:
+    def run_step(self, step: int, n_recycle: int) -> GraphedStepRecord:
         n_kernels = self.kernels_for(n_recycle)
         if not self.graphs_enabled:
             return GraphedStepRecord(
                 step=step, n_recycle=n_recycle, mode="eager",
-                host_seconds=self.cache.eager_cpu_seconds(n_kernels,
-                                                          cpu_slowdown))
+                host_seconds=self.cache.eager_cpu_seconds(n_kernels))
         if self.cache.lookup(n_recycle) is None:
             self.cache.capture(n_recycle, n_kernels)
             return GraphedStepRecord(
@@ -88,17 +86,13 @@ class GraphedStepRunner:
             step=step, n_recycle=n_recycle, mode="replay",
             host_seconds=self.cache.replay_cpu_seconds(n_kernels))
 
-    def run(self, n_steps: int, seed: int = 0,
-            cpu_slowdowns: Optional[Sequence[float]] = None
-            ) -> GraphedRunSummary:
+    def run(self, n_steps: int, seed: int = 0) -> GraphedRunSummary:
         """Run ``n_steps`` with uniformly-drawn recycling counts (AF2)."""
         rng = np.random.default_rng(seed)
         records = []
         for step in range(n_steps):
             n_recycle = int(rng.integers(0, self.max_recycle + 1))
-            slowdown = (cpu_slowdowns[step % len(cpu_slowdowns)]
-                        if cpu_slowdowns else 1.0)
-            records.append(self.run_step(step, n_recycle, slowdown))
+            records.append(self.run_step(step, n_recycle))
         return GraphedRunSummary(
             records=records,
             cache_hits=self.cache.stats.hits,

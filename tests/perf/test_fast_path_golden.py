@@ -16,7 +16,6 @@ from repro.hardware.gpu import get_gpu
 from repro.hardware.roofline import CostModel
 from repro.model.config import AlphaFoldConfig, KernelPolicy
 from repro.perf import step_time
-from repro.perf.bench import breakdowns_equal, estimates_equal
 from repro.perf.scaling import Scenario, estimate_step_time
 from repro.perf.step_time import simulate_step
 from repro.perf.trace_builder import build_step_trace
@@ -64,7 +63,7 @@ class TestGoldenGrid:
         # 2.5x the eager launch cost is the host under a CPU peak.
         event, fast = _run_both(tiny_traces[trace_key], graphed=graphed,
                                 dispatch_scale=dispatch_scale)
-        assert breakdowns_equal(event, fast)
+        assert event == fast
 
     @pytest.mark.parametrize("trace_key", ["scalefold", "dap2"])
     def test_default_and_adversarial_marks(self, tiny_traces, trace_key):
@@ -74,7 +73,7 @@ class TestGoldenGrid:
         adversarial = [0, 5, 5, n // 2, n + 7]  # dupes + out of range
         for marks in (default, adversarial):
             event, fast = _run_both(records, segment_marks=marks)
-            assert breakdowns_equal(event, fast)
+            assert event == fast
 
     def test_h100_and_precomputed_costs(self, tiny_traces):
         records = tiny_traces["scalefold"]
@@ -83,7 +82,7 @@ class TestGoldenGrid:
         costs = compute_cost_arrays(records, cost)
         event = simulate_step(records, gpu, cost, engine="event")
         fast = simulate_step(records, gpu, cost, engine="fast", costs=costs)
-        assert breakdowns_equal(event, fast)
+        assert event == fast
 
     def test_timeline_intervals_identical(self, tiny_traces):
         records = tiny_traces["dap2"]
@@ -147,7 +146,71 @@ class TestEngineResolution:
         event = estimate_step_time(scenario, engine="event")
         assert len(calls) == 1
         assert event is not fast
-        assert estimates_equal(event, fast)
+        assert event == fast
+
+
+def _one_leaf_changes(value, path=""):
+    """``(path, copy)`` pairs, each copy of ``value`` differing from it in
+    exactly one leaf: every dataclass field except ``timeline``, the first
+    entry of each dict and the first element of each list."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.name == "timeline":
+                continue
+            for leaf, changed in _one_leaf_changes(getattr(value, f.name),
+                                                   f"{path}.{f.name}"):
+                yield leaf, dataclasses.replace(value, **{f.name: changed})
+    elif isinstance(value, dict):
+        key = next(iter(value))
+        for leaf, changed in _one_leaf_changes(value[key], f"{path}[{key}]"):
+            yield leaf, {**value, key: changed}
+    elif isinstance(value, list):
+        for leaf, changed in _one_leaf_changes(value[0], f"{path}[0]"):
+            yield leaf, [changed] + value[1:]
+    elif isinstance(value, str):
+        yield path, value + "*"
+    else:
+        yield path, value + 1
+
+
+class TestDataclassEquality:
+    """``==`` on estimates and breakdowns is the fast-vs-event check: it
+    must see every simulated number, and only the timeline is exempt."""
+
+    @pytest.fixture(scope="class")
+    def estimates(self):
+        scenario = Scenario(policy=KernelPolicy.scalefold(checkpointing=False),
+                            gpu="H100", dap_n=2, dp_degree=2,
+                            workload="transformer")
+        return (estimate_step_time(scenario),
+                estimate_step_time(scenario, engine="event"))
+
+    def test_fast_equals_event_without_a_timeline(self, estimates):
+        fast, event = estimates
+        assert fast.timeline is None and event.timeline.intervals
+        assert fast == event
+
+    def test_every_estimate_field_is_compared(self, estimates):
+        fast, _ = estimates
+        changes = dict(_one_leaf_changes(fast))
+        fields = {f.name for f in dataclasses.fields(fast)} - {"timeline"}
+        assert {leaf.split(".")[1] for leaf in changes} == fields
+        assert {".stall.probability", ".stall.mean_stall_s"} <= set(changes)
+        for leaf, changed in changes.items():
+            assert changed != fast, leaf
+
+    def test_every_breakdown_field_is_compared(self, tiny_traces):
+        records = tiny_traces["dap2"]
+        marks = extract_structure(records).default_marks.tolist()
+        _, fast = _run_both(records, segment_marks=marks)
+        changes = dict(_one_leaf_changes(fast))
+        fields = {f.name for f in dataclasses.fields(fast)}
+        assert {leaf.split(".")[1].split("[")[0] for leaf in changes} == fields
+        segment = {f".segments[0].{f.name}"
+                   for f in dataclasses.fields(fast.segments[0])}
+        assert segment <= set(changes)
+        for leaf, changed in changes.items():
+            assert changed != fast, leaf
 
 
 class TestEstimateLevel:

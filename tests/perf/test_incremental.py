@@ -19,7 +19,6 @@ from repro.framework.caching import cache_registry
 from repro.framework.trace_io import default_store
 from repro.model.config import KernelPolicy
 from repro.perf import scaling
-from repro.perf.bench import estimates_equal
 from repro.perf.scaling import (Scenario, clear_estimate_cache,
                                 clear_partition_cache, estimate_step_time)
 from repro.perf.vector_cost import (build_counters, clear_cost_cache,
@@ -139,4 +138,4 @@ class TestDeltaBitIdentity:
         clear_partition_cache()
         clear_cost_cache()
         cold = estimate_step_time(changed)
-        assert estimates_equal(warm, cold)
+        assert warm == cold

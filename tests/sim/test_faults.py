@@ -48,6 +48,22 @@ class TestFaultConfig:
         assert cfg.crash_detection_s <= d <= cfg.hang_detection_s
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CheckpointPolicy(write_s=math.nan),
+    lambda: CheckpointPolicy(write_s=math.inf),
+    lambda: CheckpointPolicy(write_s=-1.0),
+    lambda: CheckpointPolicy(blocking=False, snapshot_stall_s=math.nan),
+    lambda: CheckpointPolicy(blocking=False, snapshot_stall_s=math.inf),
+    lambda: CheckpointPolicy(blocking=False, snapshot_stall_s=-1.0),
+    lambda: CheckpointPolicy(every_steps=0),
+    lambda: FaultConfig(mtbf_rank_hours=math.nan),
+], ids=["write-nan", "write-inf", "write-neg", "stall-nan", "stall-inf",
+        "stall-neg", "every-0", "mtbf-nan"])
+def test_bad_fault_config_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestFaultInjector:
     def test_deterministic_for_seed(self):
         a = FaultInjector(_aggressive(seed=5), 64).events(50_000.0)

@@ -38,31 +38,15 @@ class TestCacheBehavior:
 class TestEagerComparison:
     def test_graphs_win_over_eager_with_cpu_peaks(self):
         kernel_counts = {0: 80_000, 1: 115_000, 2: 150_000}
-        slowdowns = [1.0, 1.0, 3.0, 1.0]  # periodic CPU peaks
 
         graphed = GraphedStepRunner(graphs_enabled=True, max_recycle=2)
         graphed._kernel_counts = dict(kernel_counts)
         eager = GraphedStepRunner(graphs_enabled=False, max_recycle=2)
         eager._kernel_counts = dict(kernel_counts)
 
-        g = graphed.run(n_steps=100, seed=1, cpu_slowdowns=slowdowns)
-        e = eager.run(n_steps=100, seed=1, cpu_slowdowns=slowdowns)
+        g = graphed.run(n_steps=100, seed=1)
+        e = eager.run(n_steps=100, seed=1)
         assert g.total_host_seconds < 0.25 * e.total_host_seconds
-
-    def test_eager_pays_slowdown_graphed_does_not(self):
-        kernel_counts = {0: 100_000}
-        eager = GraphedStepRunner(graphs_enabled=False, max_recycle=0)
-        eager._kernel_counts = dict(kernel_counts)
-        quiet = eager.run_step(0, 0, cpu_slowdown=1.0).host_seconds
-        peaked = eager.run_step(1, 0, cpu_slowdown=4.0).host_seconds
-        assert peaked == pytest.approx(4 * quiet)
-
-        graphed = GraphedStepRunner(graphs_enabled=True, max_recycle=0)
-        graphed._kernel_counts = dict(kernel_counts)
-        graphed.run_step(0, 0)  # capture
-        a = graphed.run_step(1, 0, cpu_slowdown=1.0).host_seconds
-        b = graphed.run_step(2, 0, cpu_slowdown=4.0).host_seconds
-        assert a == pytest.approx(b)  # replay immune to the peak
 
 
 class TestRealTraceIntegration:
