@@ -26,7 +26,7 @@ at which barrier generation — statically, after the fact:
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..sim import des

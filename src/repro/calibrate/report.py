@@ -24,11 +24,11 @@ from typing import Dict, IO, List, Optional, Union
 
 from ..hardware.gpu import canonical_gpu_name, get_gpu
 from ..observability.chrome_trace import kernel_trace_to_chrome
-from .fit import CalibrationFit, fit_spec
-from .gate import GateResult, fidelity_gate
+from .fit import fit_spec
+from .gate import fidelity_gate
 from .importers import import_chrome_trace, import_runlog
 from .measure import (TimingSample, load_samples, measure_samples,
-                      samples_to_dict, save_samples, synthetic_samples)
+                      save_samples, synthetic_samples)
 
 CALIBRATE_REPORT_VERSION = 1
 

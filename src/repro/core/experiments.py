@@ -7,9 +7,8 @@ same series the paper plots/tabulates.  The benchmark suite under
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -17,14 +16,11 @@ from ..datapipe.prep_time import sorted_prep_times, tail_statistics
 from ..datapipe.samples import SyntheticProteinDataset
 from ..datapipe.sim_pipeline import simulate_pipeline
 from ..hardware.gpu import get_gpu
-from ..hardware.roofline import CostModel
 from ..model.config import AlphaFoldConfig, KernelPolicy
-from ..perf.profiler import (key_operation_analysis, module_time_shares,
-                             table1_breakdown)
+from ..perf.profiler import key_operation_analysis, table1_breakdown
 from ..perf.scaling import (LADDER_LABELS, N_MEASURED_STEPS, N_WARMUP_STEPS,
                             Scenario, barrier_breakdown, estimate_step_time,
                             optimization_ladder)
-from ..perf.step_time import simulate_step
 from ..perf.time_to_train import (curve_with_walltime, mlperf_time_to_train,
                                   pretraining_time_to_train)
 from ..perf.trace_builder import build_step_trace

@@ -8,7 +8,7 @@ This is the machine-readable version of the paper's conclusion list
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ can archive it next to EXPERIMENTS.md.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Optional, TextIO
+from typing import List, Optional
 
 from ..model.config import KernelPolicy
 from ..perf.memory import estimate_memory

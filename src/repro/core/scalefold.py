@@ -16,8 +16,7 @@ Typical uses::
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..datapipe.samples import SyntheticProteinDataset
 from ..framework.module import meta_build
@@ -26,7 +25,7 @@ from ..model.alphafold import AlphaFold
 from ..model.config import AlphaFoldConfig, KernelPolicy
 from ..observability.runlog import RunLogger
 from ..perf.profiler import Table1, table1_breakdown
-from ..perf.scaling import Scenario, StepEstimate, estimate_step_time
+from ..perf.scaling import StepEstimate, estimate_step_time
 from ..perf.time_to_train import (TttResult, mlperf_time_to_train,
                                   pretraining_time_to_train)
 from ..perf.trace_builder import StepTrace, build_step_trace

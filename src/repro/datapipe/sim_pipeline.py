@@ -16,8 +16,8 @@ reports per-step stall statistics for the standalone Figure 5 analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 

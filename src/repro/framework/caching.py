@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, Tuple
 
-from . import autograd, ops, tracer
+from . import autograd, ops
 from .tensor import Tensor
 
 

@@ -10,7 +10,7 @@ the fused ScaleFold kernels match the reference math.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 

@@ -16,10 +16,9 @@ workloads need wider CTAs/row-batching to keep enough CTAs in flight.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)

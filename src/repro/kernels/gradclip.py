@@ -16,7 +16,7 @@ emits 2 per DDP bucket (a few tens of buckets) and its latency is flagged
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

@@ -7,7 +7,7 @@ from typing import Dict, Optional
 from ..framework import autograd, ops, tracer
 from ..framework.module import Module
 from ..framework.tensor import Tensor
-from .config import AlphaFoldConfig, KernelPolicy
+from .config import AlphaFoldConfig
 from .embedders import ExtraMSAEmbedder, InputEmbedder, RecyclingEmbedder
 from .evoformer import EvoformerStack, ExtraMSAStack
 from .heads import DistogramHead, PerResidueLDDTHead

@@ -8,8 +8,7 @@ the Structure Module) for tracing.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

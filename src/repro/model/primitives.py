@@ -9,7 +9,7 @@ to four skinny projection GEMMs or one batched GEMM.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

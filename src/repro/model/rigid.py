@@ -9,8 +9,6 @@ kernel launches to the trace — the Structure Module is one of the paper's
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..framework import ops

@@ -10,7 +10,7 @@ paper accelerates it with ``torch.compile`` rather than hand-written kernels.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..framework import functional as F
 from ..framework import ops

@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..framework.tracer import KernelCategory, KernelRecord, Trace
+from ..framework.tracer import KernelCategory, KernelRecord
 from ..hardware.gpu import GpuSpec
 from ..hardware.roofline import CostModel
 from ..sim.des import Event, Simulator, Timeline

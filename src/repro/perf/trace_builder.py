@@ -7,6 +7,15 @@ by executing the real model in meta (shape-only) mode, so the trace is
 exactly what the numeric model would launch — not a hand-written
 approximation.
 
+The build is templated: every block of a stack launches the same kernels,
+so the forward and backward are meta-executed with each of the workload's
+``block_stacks`` cut to :data:`~repro.perf.trace_template.TEMPLATE_DEPTH`
+blocks, and :func:`~repro.perf.trace_template.extend_stack` extends each
+deeper stack to full depth — exactly the records a full-depth execution
+gives (:func:`meta_execute` at full depth is the fallback and the tests'
+oracle).  The optimizer update is emitted from the full model's parameter
+shapes, which a meta build of the full model provides.
+
 The builder is workload-agnostic: the model, loss and canonical batch come
 from the :mod:`repro.workloads` registry (``alphafold`` by default), so any
 registered workload traces through the same machinery.  Cache keys lead
@@ -29,11 +38,12 @@ from typing import List, Optional, Tuple, Union
 from ..framework import dtypes
 from ..framework.caching import LruCache, register_cache
 from ..framework.module import meta_build
-from ..framework.tracer import Trace, phase, trace
+from ..framework.tracer import KernelRecord, Trace, phase, trace
 from ..framework.trace_io import default_store
 from ..model.config import KernelPolicy
 from ..train.optimizer import emit_update_trace
 from ..workloads import DEFAULT_WORKLOAD, Workload, get_workload
+from .trace_template import TEMPLATE_DEPTH, extend_stack
 
 WorkloadLike = Union[str, Workload]
 
@@ -111,10 +121,14 @@ def build_step_trace(policy: Optional[KernelPolicy] = None,
                      workload: WorkloadLike = DEFAULT_WORKLOAD) -> StepTrace:
     """Trace one full-size training step of ``workload`` under ``policy``.
 
-    Results are memoized per (workload, policy, config) signature (building
-    a trace costs up to a few seconds of shape propagation over ~100k ops)
-    — in memory and, unless ``REPRO_TRACE_CACHE=0``, in the on-disk trace
-    store.
+    Results are memoized per (workload, policy, config) signature — in
+    memory and, unless ``REPRO_TRACE_CACHE=0``, in the on-disk trace store.
+    A miss meta-executes the step with every block stack cut to a few
+    blocks and extends the stacks to full depth (:func:`templated_records`;
+    about 0.7 s for the golden AlphaFold trace against 1.3-1.6 s at full
+    depth on a 2-vCPU host).  A config whose stacks are all that shallow
+    already, or whose reduced trace lacks the repeating structure, is
+    meta-executed at full depth.  Only the full-depth result is memoized.
     """
     wl, policy, cfg = _resolve(workload, policy, cfg)
     key = _policy_key(policy, n_recycle, include_optimizer) + _cfg_key(wl, cfg)
@@ -131,22 +145,19 @@ def build_step_trace(policy: Optional[KernelPolicy] = None,
                 _CACHE.put(key, result)
                 return result
 
-    with meta_build():
-        model, loss_fn = wl.build(cfg)
-    if policy.dtype is not dtypes.float32:
-        model.to_dtype(policy.dtype)
-    batch = wl.meta_batch(cfg, dtype=policy.dtype)
+    records = templated_records(wl, cfg, n_recycle)
+    if records is None:
+        t, model = meta_execute(wl, cfg, n_recycle)
+    else:
+        t = Trace("step")
+        t.records = records
+        with meta_build():
+            model, _ = wl.build(cfg)
     param_shapes = [p.shape for p in model.parameters()]
-
-    with trace("step") as t:
-        with phase("forward"):
-            loss = wl.call(model, loss_fn, batch, n_recycle=n_recycle)
-        with phase("backward"):
-            loss.backward()
-        if include_optimizer:
-            with phase("update"):
-                emit_update_trace(param_shapes, fused=policy.fused_adam_swa,
-                                  bucketed_clip=policy.bucketed_clip)
+    if include_optimizer:
+        with trace("step", into=t), phase("update"):
+            emit_update_trace(param_shapes, fused=policy.fused_adam_swa,
+                              bucketed_clip=policy.bucketed_clip)
 
     result = StepTrace(trace=t, policy=policy, n_recycle=n_recycle,
                        n_params=model.num_parameters(),
@@ -160,6 +171,53 @@ def build_step_trace(policy: Optional[KernelPolicy] = None,
             "param_shapes": [list(s) for s in param_shapes],
         })
     return result
+
+
+def meta_execute(wl: Workload, cfg, n_recycle: int):
+    """Meta-execute one forward and backward pass of ``cfg``: returns the
+    trace and the meta-built model.
+
+    At full depth this is the fallback of :func:`templated_records` and
+    the oracle its tests compare against.
+    """
+    policy = cfg.kernel_policy
+    with meta_build():
+        model, loss_fn = wl.build(cfg)
+    if policy.dtype is not dtypes.float32:
+        model.to_dtype(policy.dtype)
+    batch = wl.meta_batch(cfg, dtype=policy.dtype)
+    with trace("step") as t:
+        with phase("forward"):
+            loss = wl.call(model, loss_fn, batch, n_recycle=n_recycle)
+        with phase("backward"):
+            loss.backward()
+    return t, model
+
+
+def templated_records(wl: Workload, cfg,
+                      n_recycle: int) -> Optional[List[KernelRecord]]:
+    """The forward and backward records of ``cfg``, meta-executed with each
+    of ``wl.block_stacks`` cut to at most :data:`TEMPLATE_DEPTH` blocks and
+    each deeper stack extended back to full depth.
+
+    Exactly the records of ``meta_execute(wl, cfg, n_recycle)``, or None
+    when no stack is deeper than :data:`TEMPLATE_DEPTH` or a reduced trace
+    lacks the structure the extension needs.
+    """
+    depths = [(prefix, field, getattr(cfg, field))
+              for prefix, field in wl.block_stacks]
+    deep = [(prefix, depth) for prefix, _, depth in depths
+            if depth > TEMPLATE_DEPTH]
+    if not deep:
+        return None
+    reduced = cfg.replace(**{field: min(depth, TEMPLATE_DEPTH)
+                             for _, field, depth in depths})
+    records = meta_execute(wl, reduced, n_recycle)[0].records
+    for prefix, depth in deep:
+        records = extend_stack(records, prefix, depth)
+        if records is None:
+            return None
+    return records
 
 
 def _from_stored(t: Trace, meta: Optional[dict], policy: KernelPolicy,

@@ -24,7 +24,7 @@ reproduces the 10x step gap between the 0.8 and 0.9 crossings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -10,7 +10,7 @@ CPU DRAM so evaluation throughput keeps up with training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

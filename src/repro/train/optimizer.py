@@ -25,8 +25,7 @@ from ..framework import tracer
 from ..framework.module import Module, Parameter
 from ..kernels.adam_swa import (_REFERENCE_ADAM_KERNELS,
                                 _REFERENCE_SWA_KERNELS, AdamParams,
-                                adam_swa_math, fused_adam_swa_step,
-                                reference_adam_swa_step)
+                                fused_adam_swa_step, reference_adam_swa_step)
 from ..kernels.gradclip import (bucketed_grad_norm, clip_coefficient,
                                 pack_buckets, reference_apply_clip,
                                 reference_grad_norm)

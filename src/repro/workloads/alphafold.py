@@ -33,6 +33,10 @@ class AlphaFoldWorkload(Workload):
     supports_recycling = True
     shardable_scopes = SHARDABLE_SCOPES
     serial_scopes = SERIAL_HINT
+    block_stacks = (("alphafold/evoformer/blocks", "evoformer_blocks"),
+                    ("alphafold/extra_msa_stack/stack/blocks",
+                     "extra_msa_blocks"),
+                    ("alphafold/template_stack/blocks", "template_blocks"))
     #: OpenFold parameter count (checkpoint payload, §3.5 async eval).
     checkpoint_params = 93_000_000
     max_batch_size = MAX_BATCH_SIZE

@@ -50,6 +50,11 @@ class Workload:
     shardable_scopes: Tuple[str, ...] = ()
     #: Scope prefixes that stay replicated (serial modules).
     serial_scopes: Tuple[str, ...] = ()
+    #: Stacks of identical blocks, as (scope prefix, config depth field):
+    #: block ``i`` scopes as ``<prefix>.<i>``.  The trace builder
+    #: meta-executes each stack at a few blocks and extends it to full
+    #: depth; a workload that declares none is meta-executed at full depth.
+    block_stacks: Tuple[Tuple[str, str], ...] = ()
     #: Approximate parameter count (checkpoint payload sizing).
     checkpoint_params: int = 0
     #: Data-parallel convergence cap (samples per optimizer step).

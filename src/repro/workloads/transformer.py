@@ -216,6 +216,7 @@ class TransformerWorkload(Workload):
     #: the LM head stay replicated (the serial fraction).
     shardable_scopes = ("transformer/blocks",)
     serial_scopes = ("transformer/lm_head",)
+    block_stacks = (("transformer/blocks", "n_layers"),)
     #: ~1.4B parameters at the full preset.
     checkpoint_params = 1_412_000_000
     #: LLM batches scale far beyond AlphaFold's 256-sample cap.

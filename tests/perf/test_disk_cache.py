@@ -23,6 +23,7 @@ from repro.perf.trace_builder import (build_step_trace, trace_key,
                                       trace_store_material)
 from repro.perf.vector_cost import (cost_cache_material, compute_cost_arrays,
                                     TraceCostArrays)
+from repro.workloads import get_workload
 
 
 @pytest.fixture
@@ -141,6 +142,26 @@ class TestKeyInvalidation:
             keys.add(trace_key(policy, cfg=bumped))
         assert len(keys) == 4
 
+    @pytest.mark.parametrize("workload", ["alphafold", "transformer"])
+    def test_trace_key_covers_every_config_field(self, workload):
+        # The templated build keys its result by the full config alone, so
+        # every field but the policy (keyed separately) must reach the key.
+        wl = get_workload(workload)
+        policy = KernelPolicy.reference()
+        cfg = wl.full_config(policy)
+        base = trace_key(policy, cfg=cfg, workload=workload)
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            if f.name == "kernel_policy":
+                changed = cfg.replace(kernel_policy=KernelPolicy.scalefold())
+                assert trace_key(policy, cfg=changed,
+                                 workload=workload) == base
+                continue
+            assert isinstance(value, (int, float)), f.name
+            changed = cfg.replace(**{f.name: value + 1})
+            assert trace_key(policy, cfg=changed,
+                             workload=workload) != base, f.name
+
     def test_n_recycle_changes_the_key(self):
         policy = KernelPolicy.reference()
         assert trace_key(policy, n_recycle=1) != trace_key(policy, n_recycle=3)
@@ -194,6 +215,20 @@ class TestBuilderIntegration:
         assert all(a.name == b.name and a.flops == b.flops
                    and a.bytes == b.bytes and a.phase == b.phase
                    for a, b in zip(recs1, recs2))
+
+    def test_cold_build_stores_only_the_full_config(self, cache_env,
+                                                    fresh_memo):
+        # The depth-4 execution behind a templated build reaches neither
+        # the memo nor the store: one entry, under the full config's key.
+        policy = KernelPolicy.reference()
+        cfg = get_workload("transformer").preset("small", policy).replace(
+            n_layers=7)
+        key = trace_key(policy, cfg=cfg, workload="transformer")
+        step = build_step_trace(policy, cfg=cfg, workload="transformer")
+        assert os.listdir(cache_env) == [os.path.basename(
+            default_store().trace_path(trace_store_material(key)))]
+        assert len(trace_builder._CACHE) == 1
+        assert trace_builder._CACHE.get(key) is step
 
     def test_kill_switch_disables_the_store(self, tmp_path, monkeypatch,
                                             fresh_memo):
