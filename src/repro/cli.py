@@ -60,6 +60,11 @@ _non_negative_float = _checked(float, lambda v: 0.0 <= v < math.inf,
                                "a finite number >= 0")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_percentage = _checked(float, lambda v: 0.0 <= v <= 100.0,
+                       "a finite percentage in [0, 100]")
+_calibration_source = _checked(
+    str, lambda v: v == "measured" or v.partition(":")[0] == "synthetic",
+    "'measured' or 'synthetic[:SPEC]'")
 
 
 def _build_profile_trace(config_name: str, scalefold: bool,
@@ -128,7 +133,7 @@ def trace_command(argv: List[str]) -> int:
                         help="[top] number of kernels to show")
     parser.add_argument("--depth", type=_non_negative_int, default=3,
                         help="[flame] max tree depth to print")
-    parser.add_argument("--min-pct", type=float, default=0.5,
+    parser.add_argument("--min-pct", type=_percentage, default=0.5,
                         help="[flame] prune frames below this %% of step")
     parser.add_argument("--folded", action="store_true",
                         help="[flame] emit folded stacks for flamegraph.pl")
@@ -782,7 +787,8 @@ def calibrate_command(argv: List[str]) -> int:
                         help="reduced sample grid (CI mode)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for inputs / synthetic noise")
-    parser.add_argument("--source", default="measured",
+    parser.add_argument("--source", type=_calibration_source,
+                        default="measured",
                         help="'measured' (time this machine's numpy "
                              "substrate) or 'synthetic[:SPEC]' "
                              "(deterministic model-predicted timings)")
@@ -859,18 +865,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     from .hardware.gpu import UnknownGpuError
 
+    try:
+        return _run(argv)
+    except (UnknownGpuError, OSError) as exc:
+        # Every --gpu path funnels through get_gpu and every input or
+        # output path through open(): print the reason, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(argv: List[str]) -> int:
     commands = {"trace": trace_command, "bench": bench_command,
                 "lint": lint_command, "optimize": optimize_command,
                 "faults": faults_command, "serve": serve_command,
                 "calibrate": calibrate_command}
     if argv and argv[0] in commands:
-        try:
-            return commands[argv[0]](argv[1:])
-        except UnknownGpuError as exc:
-            # Every --gpu path funnels through get_gpu; surface the
-            # friendly listing instead of a traceback.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return commands[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ScaleFold reproduction: regenerate the paper's tables "

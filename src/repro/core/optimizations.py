@@ -43,7 +43,7 @@ OPTIMIZATIONS: Tuple[Optimization, ...] = (
         title="CUDA Graph capture with a multi-graph recycling cache",
         paper_section="§3.2",
         paper_speedup="DAP-8+no-ckpt: 1.79x (vs 1.52x without graphs)",
-        module="repro.hardware.cudagraph.CudaGraphCache",
+        module="repro.hardware.gpu.GpuSpec.dispatch_seconds",
         knob="Scenario(cuda_graphs=True)",
     ),
     Optimization(

@@ -68,6 +68,8 @@ N_MEASURED_STEPS = 8
 #: Seed offset separating the simulated ranks' jitter stream from the
 #: world-gate sampling stream (which must stay bit-identical per seed).
 _RANK_JITTER_SEED_OFFSET = 9173
+#: Finished batches a rank's data loader may queue ahead of the trainer.
+DATA_QUEUE_CAPACITY = 16
 
 
 @dataclass
@@ -83,7 +85,6 @@ class Scenario:
     torch_compile: bool = False
     nonblocking_pipeline: bool = False
     data_workers: int = 8
-    data_queue_capacity: int = 16
     n_recycle: int = 1
     imbalance_enabled: bool = True
     seed: int = 17
@@ -205,7 +206,7 @@ def _run_distributed_step(plan: List[_PlanOp],
                           rank_delays: Optional[np.ndarray] = None,
                           prep_series: Optional[np.ndarray] = None,
                           data_workers: int = 8,
-                          data_queue_capacity: int = 16,
+                          data_queue_capacity: int = DATA_QUEUE_CAPACITY,
                           blocking_pipeline: bool = True,
                           engine: str = "fast",
                           timeline: Optional[Timeline] = None
@@ -520,7 +521,7 @@ def estimate_step_time(scenario: Scenario,
     prep = _prep_times(wl, seed=5, n=768)
     stall = stall_model(prep, scenario.data_workers, max(nominal_step, 1e-3),
                         blocking=not scenario.nonblocking_pipeline,
-                        queue_capacity=scenario.data_queue_capacity)
+                        queue_capacity=DATA_QUEUE_CAPACITY)
     data_stall_mean = stall.probability * stall.mean_stall_s
 
     # --- straggler inputs: per-rank jitter for the simulated DAP group, and
@@ -561,7 +562,7 @@ def estimate_step_time(scenario: Scenario,
         plan, scenario.dap_n, n_steps=n_steps, buckets=buckets,
         gate_s=gate, rank_delays=rank_delays, prep_series=prep_series,
         data_workers=scenario.data_workers,
-        data_queue_capacity=scenario.data_queue_capacity,
+        data_queue_capacity=DATA_QUEUE_CAPACITY,
         blocking_pipeline=not scenario.nonblocking_pipeline,
         engine=engine, timeline=timeline)
 

@@ -24,8 +24,8 @@ from ..sim.faults import (CheckpointPolicy, CheckpointSweep, FaultConfig,
                           FaultTimeEstimate, checkpoint_write_seconds,
                           expected_run_seconds, optimal_checkpoint_interval,
                           young_daly_interval_s)
-from ..train.convergence import (ConvergenceModel, CurvePoint, TrainingPhase,
-                                 simulate_curve)
+from ..train.convergence import (PRETRAIN_PHASES, ConvergenceModel,
+                                 CurvePoint, TrainingPhase, simulate_curve)
 from ..train.evaluation import EvalConfig, EvalOverhead, evaluation_overhead
 from ..workloads import DEFAULT_WORKLOAD, Workload, get_workload
 from .scaling import Scenario, estimate_step_time
@@ -213,6 +213,10 @@ def pretraining_time_to_train(scalefold: bool = True,
                               ) -> TttResult:
     """From-scratch initial training (Figure 11).
 
+    The batch sizes, the phase-1 step count and the 0.9 target come from
+    :data:`repro.train.convergence.PRETRAIN_PHASES`, the one copy of the
+    §4.2 plan.
+
     ScaleFold: phase 1 = bs128, 5000 steps on 1056 H100s (1024 train as
     DP-128 x DAP-8 + 32 eval); phase 2 = bs256 on 2080 H100s (DP-256 x
     DAP-8, Triton MHA disabled per §4.2) until avg_lddt_ca 0.9.
@@ -222,51 +226,45 @@ def pretraining_time_to_train(scalefold: bool = True,
     """
     model = convergence or ConvergenceModel()
     eval_cfg = eval_config or EvalConfig()
-    phases: List[TttPhase] = []
-    overheads: List[EvalOverhead] = []
+    first, second = PRETRAIN_PHASES
 
     if scalefold:
         gpu = gpu or "H100"
-        s1 = estimate_step_time(
-            _scalefold_scenario(dap_n=8, dp_degree=128, gpu=gpu)).total_s
-        s2 = estimate_step_time(
-            _scalefold_scenario(dap_n=8, dp_degree=256, gpu=gpu,
-                                fused_mha=False)).total_s
+        scenarios = (
+            _scalefold_scenario(dap_n=8, dp_degree=first.batch_size, gpu=gpu),
+            _scalefold_scenario(dap_n=8, dp_degree=second.batch_size, gpu=gpu,
+                                fused_mha=False))
         init = INIT_SECONDS_SCALEFOLD
         async_eval = True
         label = f"ScaleFold-pretrain-{gpu}"
-        train_gpus = (1024, 2048)
     else:
         gpu = gpu or "A100"
-        s1 = estimate_step_time(
-            _reference_scenario(dp_degree=128, gpu=gpu)).total_s
-        s2 = estimate_step_time(
-            _reference_scenario(dp_degree=256, gpu=gpu)).total_s
+        scenarios = tuple(_reference_scenario(dp_degree=p.batch_size, gpu=gpu)
+                          for p in PRETRAIN_PHASES)
         init = INIT_SECONDS_REFERENCE
         async_eval = False
         label = f"Baseline-pretrain-{gpu}"
-        train_gpus = (128, 256)
 
-    steps1 = 5000.0
-    samples1 = steps1 * 128
-    steps2 = model.steps_to_reach(0.9, 256, start_samples=samples1)
-    phases.append(TttPhase("phase1-bs128", steps1, s1, 128, train_gpus[0]))
-    phases.append(TttPhase("phase2-bs256", steps2, s2, 256, train_gpus[1]))
-    overheads.append(evaluation_overhead(eval_cfg, int(steps1), s1,
-                                         train_gpus[0], async_eval))
-    overheads.append(evaluation_overhead(eval_cfg, int(steps2), s2,
-                                         train_gpus[1], async_eval))
+    steps1 = float(first.max_steps)
+    steps2 = model.steps_to_reach(second.target_lddt, second.batch_size,
+                                  start_samples=steps1 * first.batch_size)
+    phases: List[TttPhase] = []
+    overheads: List[EvalOverhead] = []
+    for i, (phase, steps, scenario) in enumerate(
+            zip(PRETRAIN_PHASES, (steps1, steps2), scenarios), start=1):
+        step_s = estimate_step_time(scenario).total_s
+        phases.append(TttPhase(f"phase{i}-bs{phase.batch_size}", steps,
+                               step_s, phase.batch_size, scenario.world_size))
+        overheads.append(evaluation_overhead(eval_cfg, int(steps), step_s,
+                                             scenario.world_size, async_eval))
     if not async_eval:
         for i, ov in enumerate(overheads):
             overheads[i] = dataclasses.replace(
                 ov, train_blocked_seconds=ov.train_blocked_seconds
                 + SYNC_EVAL_SETUP_SECONDS * ov.n_evals)
 
-    curve = simulate_curve(
-        model,
-        [TrainingPhase(128, int(steps1), None),
-         TrainingPhase(256, None, 0.9)],
-        eval_interval=eval_cfg.eval_every_steps)
+    curve = simulate_curve(model, PRETRAIN_PHASES,
+                           eval_interval=eval_cfg.eval_every_steps)
     return TttResult(label=label, init_seconds=init, phases=phases,
                      eval_overheads=overheads, curve=curve)
 

@@ -7,9 +7,8 @@ from .convergence import (MAX_BATCH_SIZE, MLPERF_CHECKPOINT_SAMPLES,
 from .evaluation import (EvalConfig, EvalOverhead, eval_pass_seconds,
                          evaluate_model, evaluation_overhead)
 from .checkpointing import CheckpointMeta, load_checkpoint, save_checkpoint
-from .graphed import GraphedRunSummary, GraphedStepRecord, GraphedStepRunner
 from .optimizer import AlphaFoldOptimizer, OptimizerConfig, emit_update_trace
-from .schedule import BatchSizePlan, LrSchedule
+from .schedule import LrSchedule
 from .trainer import StepRecord, Trainer, TrainResult
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "evaluation_overhead",
     "AlphaFoldOptimizer", "OptimizerConfig", "emit_update_trace",
     "CheckpointMeta", "load_checkpoint", "save_checkpoint",
-    "GraphedRunSummary", "GraphedStepRecord", "GraphedStepRunner",
-    "BatchSizePlan", "LrSchedule",
+    "LrSchedule",
     "StepRecord", "Trainer", "TrainResult",
 ]

@@ -141,7 +141,9 @@ def simulate_curve(model: ConvergenceModel, phases: Sequence[TrainingPhase],
 
 
 #: The paper's from-scratch schedule (§4.2): 5000 steps at bs128 gated on
-#: 0.8, then bs256 to 0.9.
+#: 0.8, then bs256 to 0.9.  The one copy of the plan:
+#: :func:`repro.perf.time_to_train.pretraining_time_to_train` prices it
+#: (with the Triton MHA kernel off in phase 2, as §4.2 needed).
 PRETRAIN_PHASES: Tuple[TrainingPhase, ...] = (
     TrainingPhase(batch_size=128, max_steps=5000, target_lddt=None),
     TrainingPhase(batch_size=256, max_steps=None, target_lddt=0.9),

@@ -1,4 +1,8 @@
-"""Learning-rate schedule and the two-phase batch-size plan (§4.2)."""
+"""AlphaFold's learning-rate schedule.
+
+The two-phase batch-size plan of §4.2 is
+:data:`repro.train.convergence.PRETRAIN_PHASES`.
+"""
 
 from __future__ import annotations
 
@@ -22,30 +26,3 @@ class LrSchedule:
         if step >= self.decay_after_steps:
             return self.base_lr * self.decay_factor
         return self.base_lr
-
-
-@dataclass(frozen=True)
-class BatchSizePlan:
-    """The paper's from-scratch plan: bs128 for 5000 steps, then bs256.
-
-    Phase 2 also disables the Triton MHA kernel (§4.2 observed convergence
-    required the unfused path after the switch).
-    """
-
-    phase1_batch: int = 128
-    phase1_steps: int = 5000
-    phase1_gate_lddt: float = 0.8     # must be exceeded before switching
-    phase2_batch: int = 256
-    phase2_fused_mha: bool = False
-
-    def batch_at(self, step: int) -> int:
-        return self.phase1_batch if step < self.phase1_steps else self.phase2_batch
-
-    def fused_mha_at(self, step: int) -> bool:
-        return True if step < self.phase1_steps else self.phase2_fused_mha
-
-    def validate_gate(self, step: int, lddt: float) -> bool:
-        """True if the phase-1 convergence gate is satisfied at ``step``."""
-        if step < self.phase1_steps:
-            return True
-        return lddt >= self.phase1_gate_lddt

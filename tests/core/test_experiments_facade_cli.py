@@ -58,11 +58,25 @@ class TestOptimizationsTable:
             assert expected in keys, expected
 
     def test_entries_point_to_real_modules(self):
+        """Each entry's whole dotted name resolves: its longest importable
+        prefix is a module and every later part is an attribute of the
+        one before (a class, a function or a method)."""
         import importlib
 
         for opt in OPTIMIZATIONS:
-            module_path = opt.module.split("(")[0].rsplit(".", 1)[0]
-            importlib.import_module(module_path)  # must not raise
+            parts = opt.module.split("(")[0].split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    target = importlib.import_module(".".join(parts[:cut]))
+                    break
+                except ModuleNotFoundError:
+                    continue
+            else:
+                pytest.fail(f"{opt.key}: no importable prefix in "
+                            f"{opt.module!r}")
+            for name in parts[cut:]:
+                assert hasattr(target, name), f"{opt.key}: {opt.module!r}"
+                target = getattr(target, name)
 
     def test_format_table(self):
         text = format_table()
@@ -130,6 +144,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error: unknown experiment 'nope'" in captured.err
         assert "fig7" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--source", "bogus"],
+        ["calibrate", "--source", "synthetic:H100",
+         "--samples", "{missing}/samples.json"],
+        ["trace", "export", "--config", "tiny", "-o", "{missing}/x.json"],
+        ["faults", "--quick", "--no-sim", "--ranks", "64",
+         "--step-seconds", "0.5", "-o", "{missing}/x.json"],
+        ["trace", "flame", "--config", "tiny", "--min-pct", "nan"],
+    ], ids=["bad-source", "missing-samples", "trace-output", "faults-output",
+            "nan-min-pct"])
+    def test_bad_input_or_output_exits_2(self, argv, tmp_path, capsys):
+        """A bad option value or a path into a missing directory exits 2
+        with ``error:``, never a traceback."""
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestTraceCli:

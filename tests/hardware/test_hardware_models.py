@@ -1,12 +1,11 @@
-"""GPU specs, roofline cost model, CUDA Graph cache, CPU jitter config."""
+"""GPU specs, roofline cost model, CPU jitter config."""
 
 import numpy as np
 import pytest
 
 from repro.distributed.straggler import ImbalanceInputs, StragglerModel
 from repro.framework.tracer import KernelCategory, KernelRecord
-from repro.hardware import (A100, H100, CostModel, CpuJitterConfig,
-                            CudaGraphCache, get_gpu)
+from repro.hardware import A100, H100, CostModel, CpuJitterConfig, get_gpu
 
 
 def record(name="k", category=KernelCategory.MEMORY, flops=0.0, bytes_=1e6,
@@ -112,49 +111,6 @@ class TestCostModel:
         eighth = cm.kernel_seconds(record(bytes_=8e6, shape=(4096, 256),
                                           tunable="fused_layernorm"))
         assert full / 8 < eighth < full
-
-
-class TestCudaGraphCache:
-    def test_miss_then_hit(self):
-        cache = CudaGraphCache(H100)
-        assert cache.lookup(3) is None
-        cache.capture(3, n_kernels=1000)
-        assert cache.lookup(3) is not None
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-
-    def test_keyed_by_recycling_count(self):
-        """§3.2: different recycling iteration counts are different graphs."""
-        cache = CudaGraphCache(H100)
-        for n_recycle in (0, 1, 2, 3):
-            assert cache.lookup(n_recycle) is None
-            cache.capture(n_recycle, n_kernels=1000 * (n_recycle + 1))
-        assert len(cache) == 4
-        assert all(cache.lookup(k) for k in (0, 1, 2, 3))
-
-    def test_eviction_at_capacity(self):
-        cache = CudaGraphCache(H100, max_graphs=2)
-        cache.capture("a", 10)
-        cache.capture("b", 10)
-        cache.capture("c", 10)
-        assert len(cache) == 2
-        assert cache.lookup("a") is None  # oldest evicted
-
-    def test_replay_cheaper_than_eager(self):
-        cache = CudaGraphCache(H100)
-        n = 150_000
-        assert cache.replay_cpu_seconds(n) < 0.1 * cache.eager_cpu_seconds(n)
-
-    def test_capture_costs_more_than_one_eager_pass(self):
-        cache = CudaGraphCache(H100)
-        assert cache.capture_seconds(1000) > cache.eager_cpu_seconds(1000)
-
-    def test_hit_rate(self):
-        cache = CudaGraphCache(H100)
-        cache.lookup("x")
-        cache.capture("x", 1)
-        cache.lookup("x")
-        assert cache.stats.hit_rate == pytest.approx(0.5)
 
 
 class TestCpuJitter:

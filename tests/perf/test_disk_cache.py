@@ -13,7 +13,7 @@ from repro.framework.trace_io import (CACHE_DIR_ENV, CACHE_DISABLE_ENV,
                                       TraceCacheStore, cache_enabled,
                                       content_key, default_cache_dir,
                                       default_store, reset_default_store)
-from repro.hardware.gpu import get_gpu
+from repro.hardware.gpu import GpuSpec, get_gpu
 from repro.hardware.roofline import CostModel
 from repro.framework.caching import LruCache
 from repro.framework.dtypes import bfloat16
@@ -181,10 +181,23 @@ class TestKeyInvalidation:
         assert len(materials) == 4
 
     def test_gpu_spec_field_changes_cost_material(self):
+        """Changing any one :class:`GpuSpec` field changes the material."""
         gpu = get_gpu("A100")
-        tweaked = dataclasses.replace(gpu, mem_bw_gbps=gpu.mem_bw_gbps * 2)
-        assert (cost_cache_material("t", gpu, True)
-                != cost_cache_material("t", tweaked, True))
+        base = cost_cache_material("t", gpu, True)
+        for f in dataclasses.fields(GpuSpec):
+            value = getattr(gpu, f.name)
+            if isinstance(value, str):
+                changed = value + "-changed"
+            elif isinstance(value, dict):
+                changed = {**value, "fp32": value["fp32"] * 2}
+            elif isinstance(value, int):
+                changed = value + 1
+            elif isinstance(value, float):
+                changed = value / 2  # stays inside every validated range
+            else:
+                raise AssertionError(f"no changed value for GpuSpec.{f.name}")
+            tweaked = dataclasses.replace(gpu, **{f.name: changed})
+            assert cost_cache_material("t", tweaked, True) != base, f.name
 
 
 @pytest.fixture

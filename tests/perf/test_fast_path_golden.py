@@ -3,17 +3,21 @@
 Every simulated number — totals, aggregates, segments, timeline intervals,
 per-kernel replay timestamps — is compared with exact ``==`` across a grid
 of policies, dispatch regimes (eager, graphed, a slowed host) and
-segment-mark shapes.  Any
-drift here invalidates the fast path's contract (and fails ``repro bench``).
+segment-mark shapes, and the vectorized cost arrays are compared with the
+scalar cost model on seeded random kernels.  Any drift here invalidates
+the fast path's contract (and fails ``repro bench``).
 """
 
 import dataclasses
+import itertools
 
+import numpy as np
 import pytest
 
 from repro.distributed.dap import partition_step
-from repro.hardware.gpu import get_gpu
-from repro.hardware.roofline import CostModel
+from repro.framework.tracer import KernelCategory, KernelRecord
+from repro.hardware.gpu import get_gpu, list_gpus
+from repro.hardware.roofline import LIMITERS, CostModel
 from repro.model.config import AlphaFoldConfig, KernelPolicy
 from repro.perf import step_time
 from repro.perf.scaling import Scenario, estimate_step_time
@@ -224,3 +228,42 @@ class TestEstimateLevel:
         assert fast.as_dict() == event.as_dict()
         # Only the event engine records the rank-level timeline.
         assert fast.timeline is None and event.timeline.intervals
+
+
+class TestVectorCost:
+    """Seeded differential test: each element of the cost arrays equals
+    :meth:`CostModel.kernel_cost` of its record, seconds and limiter, to
+    the last bit."""
+
+    CATEGORIES = (KernelCategory.MATH, KernelCategory.MEMORY,
+                  KernelCategory.MEMORY_OP)
+    DTYPES = ("fp32", "bf16", "fp16")
+
+    @staticmethod
+    def _count(rng, kind: str, large_exp: float) -> float:
+        if kind == "zero":
+            return 0.0
+        if kind == "latency":  # far below one launch latency of work
+            return float(10.0 ** rng.uniform(0.0, 4.0))
+        return float(10.0 ** rng.uniform(4.0, large_exp))
+
+    @pytest.mark.parametrize("gpu_name", list_gpus())
+    def test_arrays_equal_scalar_cost(self, gpu_name):
+        rng = np.random.default_rng(list_gpus().index(gpu_name))
+        kinds = ("zero", "latency", "large")
+        records = [
+            KernelRecord(name="k", category=category,
+                         flops=self._count(rng, flop_kind, 13.0),
+                         bytes=self._count(rng, byte_kind, 10.5),
+                         shape=(1,), dtype=dtype, scope="", fused=False,
+                         phase="forward", tunable=None, tags=None)
+            for category, dtype, flop_kind, byte_kind in itertools.product(
+                self.CATEGORIES, self.DTYPES, kinds, kinds)
+            for _ in range(50)]
+        cost = CostModel(get_gpu(gpu_name), autotune=True)
+        arrays = compute_cost_arrays(records, cost)
+        scalar = [cost.kernel_cost(r) for r in records]
+        assert arrays.seconds.tolist() == [c.seconds for c in scalar]
+        assert ([LIMITERS[code] for code in arrays.limiter_codes.tolist()]
+                == [c.limiter for c in scalar])
+        assert {c.limiter for c in scalar} == set(LIMITERS)

@@ -1,10 +1,14 @@
 """Time-to-train compositions: Figures 9, 10, 11 headline checks."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.perf import time_to_train
 from repro.perf.time_to_train import (curve_with_walltime,
                                       mlperf_time_to_train,
                                       pretraining_time_to_train)
+from repro.train.convergence import PRETRAIN_PHASES
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,22 @@ class TestPretrainingTtt:
         assert p1.batch_size == 128 and p1.steps == 5000
         assert p2.batch_size == 256
         assert 45_000 < p1.steps + p2.steps < 60_000  # paper: 50-60k
+
+    def test_fused_mha_disabled_in_phase2(self, monkeypatch):
+        """§4.2: 'disable Triton mha kernel to train the rest steps'; each
+        phase runs DP at its PRETRAIN_PHASES batch size."""
+        scenarios = []
+
+        def fake_estimate(scenario):
+            scenarios.append(scenario)
+            return SimpleNamespace(total_s=1.0)
+
+        monkeypatch.setattr(time_to_train, "estimate_step_time",
+                            fake_estimate)
+        pretraining_time_to_train(scalefold=True)
+        assert [sc.policy.fused_mha for sc in scenarios] == [True, False]
+        assert ([sc.dp_degree for sc in scenarios]
+                == [phase.batch_size for phase in PRETRAIN_PHASES])
 
     def test_baseline_takes_days(self, pretrain_base):
         """Paper baseline: ~7 days (we accept 3-10 days)."""

@@ -1,4 +1,4 @@
-"""Convergence model (paper anchors), LR schedule, batch-size plan."""
+"""Convergence model (paper anchors), the §4.2 two-phase plan, LR schedule."""
 
 import math
 
@@ -12,7 +12,7 @@ from repro.train.convergence import (MAX_BATCH_SIZE,
                                      MLPERF_TARGET_LDDT, PRETRAIN_PHASES,
                                      ConvergenceModel, TrainingPhase,
                                      simulate_curve)
-from repro.train.schedule import BatchSizePlan, LrSchedule
+from repro.train.schedule import LrSchedule
 
 MODEL = ConvergenceModel()
 
@@ -124,22 +124,3 @@ class TestLrSchedule:
 
     def test_decay(self):
         assert self.SCHED.lr_at(50_000) == pytest.approx(0.95e-3)
-
-
-class TestBatchSizePlan:
-    PLAN = BatchSizePlan()
-
-    def test_phase_switch(self):
-        assert self.PLAN.batch_at(0) == 128
-        assert self.PLAN.batch_at(4999) == 128
-        assert self.PLAN.batch_at(5000) == 256
-
-    def test_fused_mha_disabled_in_phase2(self):
-        """§4.2: 'disable Triton mha kernel to train the rest steps'."""
-        assert self.PLAN.fused_mha_at(100)
-        assert not self.PLAN.fused_mha_at(5000)
-
-    def test_gate(self):
-        assert self.PLAN.validate_gate(100, 0.1)   # before switch: any lddt
-        assert self.PLAN.validate_gate(5000, 0.85)
-        assert not self.PLAN.validate_gate(5000, 0.75)
