@@ -20,14 +20,6 @@ from repro.perf.torchcompile import apply_torch_compile
 from repro.perf.trace_builder import build_step_trace
 
 
-def _scalefold_scenario(**kw):
-    base = dict(policy=KernelPolicy.scalefold(checkpointing=False),
-                gpu="H100", dap_n=8, cuda_graphs=True, gc_disabled=True,
-                torch_compile=True, nonblocking_pipeline=True)
-    base.update(kw)
-    return Scenario(**base)
-
-
 class TestCheckpointingAblation:
     def test_disabling_checkpointing_removes_recompute(self, benchmark):
         """DAP-8 lets ScaleFold turn checkpointing off (§4.1)."""

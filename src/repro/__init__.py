@@ -12,14 +12,14 @@ Quick start::
 """
 
 from .core import (EXPERIMENTS, OPTIMIZATIONS, ExperimentResult, ScaleFold,
-                   ScaleFoldConfig, run_experiment)
+                   run_experiment)
 from .model import AlphaFold, AlphaFoldConfig, KernelPolicy
 
 __version__ = "1.0.0"
 
 __all__ = [
     "EXPERIMENTS", "OPTIMIZATIONS", "ExperimentResult", "ScaleFold",
-    "ScaleFoldConfig", "run_experiment",
+    "run_experiment",
     "AlphaFold", "AlphaFoldConfig", "KernelPolicy",
     "__version__",
 ]

@@ -55,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .findings import Finding, Severity, sort_findings
 from .rules import RuleConfig, register_rule
+from .sched import find_cycles
 
 # Real primitives, captured before any patching can occur.
 _REAL_LOCK = threading.Lock
@@ -617,7 +618,7 @@ def findings_from_facts(facts: ConcFacts, scenario: str,
     for held, wanted, actors in facts.order_edges:
         graph.setdefault(held, set()).add(wanted)
         edge_actors[(held, wanted)] = actors
-    for cycle in _find_cycles(graph):
+    for cycle in find_cycles(graph):
         ring = " -> ".join(cycle + [cycle[0]])
         actors = sorted({a for pair in zip(cycle, cycle[1:] + [cycle[0]])
                          for a in edge_actors.get(pair, ())})
@@ -654,33 +655,6 @@ def findings_from_facts(facts: ConcFacts, scenario: str,
             fix_hint="send shutdown sentinels / set events on the close "
                      "path before joining"))
     return out
-
-
-def _find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
-    """Simple cycles, canonicalized and deduplicated (mirrors sched.py)."""
-    cycles: List[List[str]] = []
-    seen: Set[Tuple[str, ...]] = set()
-
-    def canonical(path: List[str]) -> Tuple[str, ...]:
-        pivot = min(range(len(path)), key=lambda i: path[i])
-        return tuple(path[pivot:] + path[:pivot])
-
-    def dfs(node: str, path: List[str], on_path: Set[str]) -> None:
-        for nxt in sorted(graph.get(node, ())):
-            if nxt in on_path:
-                cycle = path[path.index(nxt):]
-                canon = canonical(cycle)
-                if canon not in seen:
-                    seen.add(canon)
-                    cycles.append(list(canon))
-                continue
-            on_path.add(nxt)
-            dfs(nxt, path + [nxt], on_path)
-            on_path.remove(nxt)
-
-    for start in sorted(graph):
-        dfs(start, [start], {start})
-    return cycles
 
 
 # ----------------------------------------------------------------------

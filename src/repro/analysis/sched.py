@@ -115,11 +115,10 @@ def _acquisition_order_edges(events: List[SchedEvent]) -> List[_Edge]:
     return list(edges.values())
 
 
-def _find_cycles(edges: List[_Edge]) -> List[List[str]]:
-    """Simple cycles in the order graph, canonicalized and deduplicated."""
-    graph: Dict[str, List[str]] = {}
-    for e in edges:
-        graph.setdefault(e.held, []).append(e.wanted)
+def find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
+    """Simple cycles of a ``{node: successors}`` order graph, each rotated
+    to start at its smallest node, deduplicated, in discovery order (the
+    schedule and the concurrency analyzers share it)."""
     cycles: List[List[str]] = []
     seen: Set[Tuple[str, ...]] = set()
 
@@ -179,7 +178,10 @@ def _analyze_one_run(events: List[SchedEvent],
     # --- SC001: acquisition-order cycles -----------------------------
     edges = _acquisition_order_edges(events)
     by_pair = {(e.held, e.wanted): e for e in edges}
-    for cycle in _find_cycles(edges):
+    graph: Dict[str, Set[str]] = {}
+    for e in edges:
+        graph.setdefault(e.held, set()).add(e.wanted)
+    for cycle in find_cycles(graph):
         ring = " -> ".join(cycle + [cycle[0]])
         actors = sorted({by_pair[(a, b)].actor
                          for a, b in zip(cycle, cycle[1:] + [cycle[0]])

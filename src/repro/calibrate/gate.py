@@ -104,15 +104,14 @@ def cross_engine_gate(spec: GpuSpec,
     result.details["n_executable"] = len(executable)
 
     # End-to-end: the registry path (Scenario by name) through the
-    # two-level DES, on the tiny trace so the gate stays fast.
+    # two-level DES, on the tiny trace so the gate stays fast.  The policy
+    # stays the no-checkpoint one the record sets above use, at DAP-2.
     if registered_name is not None:
         via_registry = get_gpu(registered_name)
         result.checks["registry_roundtrip"] = via_registry == spec
-        scenario = Scenario(policy=KernelPolicy.scalefold(checkpointing=False),
-                            gpu=registered_name, dap_n=2, dp_degree=2,
-                            cuda_graphs=True, gc_disabled=True,
-                            torch_compile=True, nonblocking_pipeline=True,
-                            preset="tiny")
+        scenario = Scenario.scalefold(
+            dap_n=2, gpu=registered_name, dp_degree=2, preset="tiny",
+            policy=KernelPolicy.scalefold(checkpointing=False))
         estimate = estimate_step_time(scenario)
         step_s = estimate.total_s
         result.checks["estimate_finite"] = (step_s == step_s

@@ -22,7 +22,9 @@ observability stack and ``lint`` fronts the static analysis suite::
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -65,6 +67,18 @@ _percentage = _checked(float, lambda v: 0.0 <= v <= 100.0,
 _calibration_source = _checked(
     str, lambda v: v == "measured" or v.partition(":")[0] == "synthetic",
     "'measured' or 'synthetic[:SPEC]'")
+# Every output option: a path into a missing directory exits 2 before the
+# command's work, not after it.
+_output_path = _checked(
+    str, lambda v: os.path.isdir(os.path.dirname(v) or os.curdir),
+    "a path in an existing directory")
+
+
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON plus a newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _build_profile_trace(config_name: str, scalefold: bool,
@@ -121,7 +135,8 @@ def trace_command(argv: List[str]) -> int:
     parser.add_argument("--scalefold", action="store_true",
                         help="use the fused ScaleFold kernel policy "
                              "(default: eager reference)")
-    parser.add_argument("--output", "-o", default="trace.json",
+    parser.add_argument("--output", "-o", type=_output_path,
+                        default="trace.json",
                         help="[export] output path for chrome-trace JSON")
     parser.add_argument("--dap", type=_positive_int, default=1,
                         help="[export] DAP group size; >1 adds one "
@@ -215,9 +230,10 @@ def lint_command(argv: List[str]) -> int:
     parser.add_argument("--gpu", default="A100", help="GPU spec name")
     parser.add_argument("--format", default="text", choices=("text", "json"),
                         help="report format (default: text)")
-    parser.add_argument("--output", "-o", default=None,
+    parser.add_argument("--output", "-o", type=_output_path, default=None,
                         help="also write the JSON report to this path")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
+    parser.add_argument("--baseline", type=_output_path, default=None,
+                        metavar="PATH",
                         help="baseline file of waived findings "
                              "(default: LINT_BASELINE.json if present)")
     parser.add_argument("--no-baseline", action="store_true",
@@ -275,8 +291,7 @@ def lint_command(argv: List[str]) -> int:
     if args.output:
         write_findings_json(args.output, report)
     if args.format == "json":
-        import json as _json
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.format_text(show_waived=args.show_waived))
     return report.exit_code(fail_on=Severity.parse(args.fail_on))
@@ -300,7 +315,8 @@ def bench_command(argv: List[str]) -> int:
                              "(default: all registered)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced sweep for CI (fewer ladder rungs)")
-    parser.add_argument("--output", "-o", default="BENCH_simulation.json",
+    parser.add_argument("--output", "-o", type=_output_path,
+                        default="BENCH_simulation.json",
                         help="report path (default: BENCH_simulation.json)")
     args = parser.parse_args(argv)
 
@@ -359,14 +375,14 @@ def optimize_command(argv: List[str]) -> int:
                         help="comma-separated GPU knob candidates, or "
                              "'portfolio' for every registered spec "
                              "(default: A100,H100)")
-    parser.add_argument("--output", "-o", default=None, metavar="PATH",
+    parser.add_argument("--output", "-o", type=_output_path, default=None,
+                        metavar="PATH",
                         help="write the deterministic search report JSON "
                              "(no timings; byte-stable per seed)")
-    parser.add_argument("--bench-out", default=None, metavar="PATH",
+    parser.add_argument("--bench-out", type=_output_path, default=None,
+                        metavar="PATH",
                         help="write BENCH_optimize.json (timed gates)")
     args = parser.parse_args(argv)
-
-    import json as _json
 
     from .optimize import (build_report, optimize_workload,
                            run_optimize_bench, verify_incremental)
@@ -414,18 +430,13 @@ def optimize_command(argv: List[str]) -> int:
             gates_ok = gates_ok and checked["match"]
 
     if args.output:
-        with open(args.output, "w") as handle:
-            _json.dump(build_report(results, args.quick, args.seed),
-                       handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.output, build_report(results, args.quick, args.seed))
         print(f"wrote {args.output}")
 
     if args.bench_out:
         bench = run_optimize_bench(results, args.quick, args.seed,
                                    verify=verify or None)
-        with open(args.bench_out, "w") as handle:
-            _json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.bench_out, bench)
         print(f"wrote {args.bench_out}")
         for name, sp in bench["delta_speedup"].items():
             note = ("" if sp["gated"]
@@ -500,12 +511,15 @@ def faults_command(argv: List[str]) -> int:
                              "(default: 2000, or 600 with --quick)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced settings for CI smoke runs")
-    parser.add_argument("--runlog", default=None, metavar="PATH",
+    parser.add_argument("--runlog", type=_output_path, default=None,
+                        metavar="PATH",
                         help="write the DES runs' structured JSONL log")
-    parser.add_argument("--trace", default=None, metavar="PATH",
+    parser.add_argument("--trace", type=_output_path, default=None,
+                        metavar="PATH",
                         help="write a chrome-trace JSON of the DES runs' "
                              "faults, checkpoints and recovery windows")
-    parser.add_argument("--output", "-o", default=None, metavar="PATH",
+    parser.add_argument("--output", "-o", type=_output_path, default=None,
+                        metavar="PATH",
                         help="write the full result JSON (deterministic)")
     args = parser.parse_args(argv)
 
@@ -616,7 +630,6 @@ def faults_command(argv: List[str]) -> int:
         trace_builder.write(args.trace)
         print(f"wrote {len(trace_builder)} trace events to {args.trace}")
     if args.output:
-        import json as _json
         payload = {
             "workload": workload.name,
             "mtbf_rank_hours": args.mtbf_hours,
@@ -630,9 +643,7 @@ def faults_command(argv: List[str]) -> int:
             "gpu": args.gpu,
             "configs": configs,
         }
-        with open(args.output, "w") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.output, payload)
         print(f"wrote {args.output}")
     return 0
 
@@ -691,14 +702,14 @@ def serve_command(argv: List[str]) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
                         help="reduced settings for CI smoke runs")
-    parser.add_argument("--trace", default=None, metavar="PATH",
+    parser.add_argument("--trace", type=_output_path, default=None,
+                        metavar="PATH",
                         help="[fleet] write per-request chrome-trace JSON")
-    parser.add_argument("--output", "-o", default=None, metavar="PATH",
+    parser.add_argument("--output", "-o", type=_output_path, default=None,
+                        metavar="PATH",
                         help="write the report JSON (deterministic fields "
                              "only; bit-identical for a given seed)")
     args = parser.parse_args(argv)
-
-    import json as _json
 
     from .serve import (ArrivalConfig, BrokerConfig, FleetConfig, run_fleet,
                         run_broker_smoke)
@@ -768,9 +779,7 @@ def serve_command(argv: List[str]) -> int:
                   f"{timing['wall_s']:.2f}s wall")
 
     if args.output:
-        with open(args.output, "w") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.output, payload)
         print(f"wrote {args.output}")
     return 0
 
@@ -800,7 +809,7 @@ def calibrate_command(argv: List[str]) -> int:
     parser.add_argument("--samples", default=None,
                         help="refit a saved samples artifact instead of "
                              "measuring")
-    parser.add_argument("--samples-out", default=None,
+    parser.add_argument("--samples-out", type=_output_path, default=None,
                         help="write the sample artifact for later refits")
     parser.add_argument("--import-trace", default=None,
                         help="merge a chrome-trace JSON into the fit set")
@@ -808,9 +817,9 @@ def calibrate_command(argv: List[str]) -> int:
                         help="merge an MLPerf-style runlog JSONL")
     parser.add_argument("--no-roundtrip", action="store_true",
                         help="skip the export->import->refit check")
-    parser.add_argument("--output", "-o", default=None,
+    parser.add_argument("--output", "-o", type=_output_path, default=None,
                         help="write the full JSON report")
-    parser.add_argument("--bench-out", default=None,
+    parser.add_argument("--bench-out", type=_output_path, default=None,
                         help="write the BENCH_calibrate.json gate summary")
     args = parser.parse_args(argv)
 
@@ -851,12 +860,7 @@ def calibrate_command(argv: List[str]) -> int:
         write_report(report, args.output)
         print(f"report written to {args.output}")
     if args.bench_out:
-        import json as _json
-
-        with open(args.bench_out, "w") as handle:
-            _json.dump(bench_gates(report), handle, indent=2,
-                       sort_keys=True)
-            handle.write("\n")
+        _write_json(args.bench_out, bench_gates(report))
         print(f"gate summary written to {args.bench_out}")
     return 0 if report["golden_match"] else 1
 
@@ -888,7 +892,7 @@ def _run(argv: List[str]) -> int:
     parser.add_argument("experiment", nargs="?",
                         help=f"one of: {', '.join(sorted(EXPERIMENTS))}, "
                              "'all', 'report', or 'optimizations'")
-    parser.add_argument("--output", "-o", default=None,
+    parser.add_argument("--output", "-o", type=_output_path, default=None,
                         help="write 'report' output to a file")
     args = parser.parse_args(argv)
 

@@ -1,13 +1,12 @@
-"""ScaleFold public API: configuration, facade, experiment registry."""
+"""ScaleFold public API: facade, experiment registry."""
 
-from .config import ScaleFoldConfig
 from .experiments import EXPERIMENTS, ExperimentResult, run_experiment
 from .optimizations import OPTIMIZATIONS, Optimization, by_key, format_table
 from .report import generate_report, write_report
 from .scalefold import ScaleFold
 
 __all__ = [
-    "ScaleFoldConfig", "EXPERIMENTS", "ExperimentResult", "run_experiment",
+    "EXPERIMENTS", "ExperimentResult", "run_experiment",
     "OPTIMIZATIONS", "Optimization", "by_key", "format_table", "ScaleFold",
     "generate_report", "write_report",
 ]

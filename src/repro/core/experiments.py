@@ -115,12 +115,9 @@ def run_key_operations(gpu: str = "A100") -> ExperimentResult:
 def run_fig3(gpu: str = "A100") -> ExperimentResult:
     """Barriers to DAP scalability (paper Figure 3)."""
     rows = []
-    base = estimate_step_time(Scenario(policy=KernelPolicy.reference(),
-                                       gpu=gpu, dap_n=1))
+    base = estimate_step_time(Scenario(gpu=gpu))
     for n in (2, 4, 8):
-        bb = barrier_breakdown(Scenario(policy=KernelPolicy.reference(),
-                                        gpu=gpu, dap_n=n),
-                               base_estimate=base)
+        bb = barrier_breakdown(Scenario(gpu=gpu, dap_n=n), base_estimate=base)
         row = {"dap_n": n, "actual_s": bb.actual_s, "ideal_s": bb.ideal_s,
                "gap_s": bb.gap_s}
         row.update({f"{k}_s": v * bb.gap_s for k, v in
@@ -138,8 +135,7 @@ def run_dap_baseline(gpu: str = "A100") -> ExperimentResult:
     rows = []
     base = None
     for n in (1, 2, 4, 8):
-        est = estimate_step_time(Scenario(policy=KernelPolicy.reference(),
-                                          gpu=gpu, dap_n=n))
+        est = estimate_step_time(Scenario(gpu=gpu, dap_n=n))
         if base is None:
             base = est.total_s
         rows.append({"dap_n": n, "step_s": est.total_s,
@@ -197,20 +193,12 @@ def run_fig7() -> ExperimentResult:
         {"system": "FastFold", "gpu": "A100", "dap_n": 2,
          "step_s": 2.49, "source": "FastFold paper"},
     ]
-    sf = KernelPolicy.scalefold(checkpointing=True)
-    est = estimate_step_time(Scenario(policy=sf, gpu="A100", dap_n=2,
-                                      cuda_graphs=True, gc_disabled=True,
-                                      torch_compile=True,
-                                      nonblocking_pipeline=True))
+    est = estimate_step_time(Scenario.scalefold(dap_n=2, gpu="A100"))
     rows.append({"system": "ScaleFold (sim)", "gpu": "A100", "dap_n": 2,
                  "step_s": est.total_s, "source": "this repro (paper: 1.88)"})
     paper_h100 = {1: 1.80, 2: 1.12, 4: 0.75, 8: 0.65}
     for n in (1, 2, 4, 8):
-        policy = KernelPolicy.scalefold(checkpointing=n < 8)
-        est = estimate_step_time(Scenario(policy=policy, gpu="H100", dap_n=n,
-                                          cuda_graphs=n > 1, gc_disabled=True,
-                                          torch_compile=True,
-                                          nonblocking_pipeline=True))
+        est = estimate_step_time(Scenario.scalefold(dap_n=n, gpu="H100"))
         rows.append({"system": "ScaleFold (sim)", "gpu": "H100", "dap_n": n,
                      "step_s": est.total_s,
                      "source": f"this repro (paper: {paper_h100[n]})"})
@@ -344,12 +332,8 @@ def run_timeline() -> ExperimentResult:
     backward compute and therefore never appears in the step total.
     """
     scenarios = [
-        ("reference A100 DAP-1",
-         Scenario(policy=KernelPolicy.reference(), gpu="A100", dap_n=1)),
-        ("scalefold H100 DAP-8",
-         Scenario(policy=KernelPolicy.scalefold(checkpointing=False),
-                  gpu="H100", dap_n=8, cuda_graphs=True, gc_disabled=True,
-                  torch_compile=True, nonblocking_pipeline=True)),
+        ("reference A100 DAP-1", Scenario(gpu="A100")),
+        ("scalefold H100 DAP-8", Scenario.scalefold(gpu="H100")),
     ]
     n_steps = N_WARMUP_STEPS + N_MEASURED_STEPS
     rows = []

@@ -30,16 +30,14 @@ if TYPE_CHECKING:  # avoid a circular import at runtime (perf -> datapipe
     from ..perf.trace_builder import StepTrace
     from ..workloads.base import Workload
 
-#: Scope prefixes whose kernels DAP shards (the MSA/pair trunk).
+#: Scope prefixes whose kernels DAP shards (the MSA/pair trunk).  Every
+#: other scope stays serial (§3.1: the structure module, plus the small
+#: embedders and loss, which OpenFold also leaves replicated).
 SHARDABLE_SCOPES = (
     "alphafold/evoformer",
     "alphafold/extra_msa_stack",
     "alphafold/template_stack",
 )
-
-#: Scopes that stay serial (per §3.1: structure module; plus the small
-#: embedders and loss, which OpenFold also leaves replicated).
-SERIAL_HINT = ("alphafold/structure_module",)
 
 
 def _shard_shape(shape: Tuple[int, ...], n: int) -> Tuple[int, ...]:

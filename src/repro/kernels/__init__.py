@@ -19,7 +19,6 @@ from .attention import (flash_attention_tiled, fused_attention,
                         reference_attention_np)
 from .autotune import (CONFIG_SPACES, DEFAULT_CONFIG, Autotuner, KernelConfig,
                        TuneResult)
-from .chunking import chunked_attention, peak_logits_elements
 from .gemm import batched_linear, separate_linears
 from .gradclip import (bucketed_grad_norm, clip_coefficient, pack_buckets,
                        reference_apply_clip, reference_grad_norm,
@@ -31,7 +30,6 @@ __all__ = [
     "flash_attention_tiled", "fused_attention", "reference_attention_np",
     "CONFIG_SPACES", "DEFAULT_CONFIG", "Autotuner", "KernelConfig", "TuneResult",
     "batched_linear", "separate_linears",
-    "chunked_attention", "peak_logits_elements",
     "bucketed_grad_norm", "clip_coefficient", "pack_buckets",
     "reference_apply_clip", "reference_grad_norm", "unpack_buckets",
     "fused_layer_norm", "single_pass_stats", "two_step_grad_reduction",

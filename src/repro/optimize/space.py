@@ -25,9 +25,9 @@ stage               knobs          what a delta recomputes
 
 A *point* is a plain ``{knob name: value}`` dict; :func:`apply_point` turns
 one into a :class:`~repro.perf.scaling.Scenario`.  Activation checkpointing
-is derived, not searched: DAP >= 8 frees enough memory to disable it (the
-paper's §3.2 configuration), mirroring
-:func:`repro.perf.time_to_train._scalefold_scenario`.
+is derived, not searched: the point's DAP degree sets it through
+:func:`repro.perf.scaling.scalefold_checkpointing`, the rule
+``Scenario.scalefold`` applies (off from DAP-8, §4.1).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Dict, Optional, Tuple
 from ..framework import dtypes
 from ..hardware.gpu import get_gpu
 from ..model.config import KernelPolicy
-from ..perf.scaling import Scenario
+from ..perf.scaling import Scenario, scalefold_checkpointing
 from ..workloads import get_workload
 
 #: Stage names, shallowest re-simulation first.
@@ -132,8 +132,8 @@ def apply_point(point: Dict[str, object], workload: str) -> Scenario:
     if point.get("precision") == "bf16":
         policy = policy.replace(dtype=dtypes.bfloat16)
     dap_n = int(point.get("dap_n", 1))
-    if dap_n >= 8:
-        policy = policy.replace(activation_checkpointing=False)
+    policy = policy.replace(
+        activation_checkpointing=scalefold_checkpointing(dap_n))
     return Scenario(
         policy=policy,
         gpu=str(point.get("gpu", "H100")),

@@ -72,9 +72,16 @@ _RANK_JITTER_SEED_OFFSET = 9173
 DATA_QUEUE_CAPACITY = 16
 
 
+def scalefold_checkpointing(dap_n: int) -> bool:
+    """Whether the ScaleFold system keeps activation checkpointing at DAP
+    degree ``dap_n``: the paper turns it off at DAP-8 (§4.1)."""
+    return dap_n < 8
+
+
 @dataclass
 class Scenario:
-    """One training configuration to estimate."""
+    """One training configuration to estimate; the defaults are the eager
+    fp32 OpenFold reference system."""
 
     policy: KernelPolicy = field(default_factory=KernelPolicy.reference)
     gpu: str = "H100"
@@ -96,6 +103,21 @@ class Scenario:
     #: Model size preset (``wl.preset(preset, policy)``): the trace and the
     #: DAP collective bundles both come from this one config.
     preset: str = "full"
+
+    @classmethod
+    def scalefold(cls, dap_n: int = 8, **fields) -> "Scenario":
+        """The paper's final system (§3-§4) at DAP degree ``dap_n``: every
+        fused kernel in bf16, checkpointing per
+        :func:`scalefold_checkpointing`, CUDA graphs whenever DAP shards
+        the step, GC off, torch.compile and the non-blocking loader.
+        ``fields`` set the other fields or override any of these."""
+        system = dict(
+            policy=KernelPolicy.scalefold(
+                checkpointing=scalefold_checkpointing(dap_n)),
+            dap_n=dap_n, cuda_graphs=dap_n > 1, gc_disabled=True,
+            torch_compile=True, nonblocking_pipeline=True)
+        system.update(fields)
+        return cls(**system)
 
     @property
     def world_size(self) -> int:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..hardware.gpu import get_gpu
-from ..model.config import KernelPolicy
 from ..observability.runlog import RunLogger
 from ..sim.faults import (CheckpointPolicy, CheckpointSweep, FaultConfig,
                           FaultTimeEstimate, checkpoint_write_seconds,
@@ -91,24 +90,6 @@ class TttResult:
         }
 
 
-def _scalefold_scenario(dap_n: int, dp_degree: int, gpu: str = "H100",
-                        fused_mha: bool = True,
-                        workload: str = DEFAULT_WORKLOAD) -> Scenario:
-    policy = KernelPolicy.scalefold(checkpointing=dap_n < 8)
-    if not fused_mha:
-        policy = policy.replace(fused_mha=False)
-    return Scenario(policy=policy, gpu=gpu, dap_n=dap_n, dp_degree=dp_degree,
-                    cuda_graphs=dap_n > 1, gc_disabled=True,
-                    torch_compile=True, nonblocking_pipeline=True,
-                    workload=workload)
-
-
-def _reference_scenario(dp_degree: int, gpu: str = "H100",
-                        workload: str = DEFAULT_WORKLOAD) -> Scenario:
-    return Scenario(policy=KernelPolicy.reference(), gpu=gpu, dap_n=1,
-                    dp_degree=dp_degree, workload=workload)
-
-
 def mlperf_time_to_train(scalefold: bool = True, async_eval: bool = True,
                          n_gpus: int = 2080,
                          gpu: str = "H100",
@@ -137,14 +118,13 @@ def mlperf_time_to_train(scalefold: bool = True, async_eval: bool = True,
         eval_gpus = eval_cfg.n_eval_gpus if async_eval else 0
         train_gpus = n_gpus - eval_gpus
         dap_n = max(train_gpus // batch, 1)
-        scenario = _scalefold_scenario(dap_n=dap_n, dp_degree=batch, gpu=gpu,
-                                       workload=wl.name)
+        scenario = Scenario.scalefold(dap_n=dap_n, dp_degree=batch, gpu=gpu,
+                                      workload=wl.name)
         init = INIT_SECONDS_SCALEFOLD
         label = f"ScaleFold-{n_gpus}x{gpu}" + ("-async" if async_eval else "-sync")
     else:
         train_gpus = batch
-        scenario = _reference_scenario(dp_degree=batch, gpu=gpu,
-                                       workload=wl.name)
+        scenario = Scenario(dp_degree=batch, gpu=gpu, workload=wl.name)
         init = INIT_SECONDS_REFERENCE
         async_eval = False
         label = f"Reference-{train_gpus}x{gpu}"
@@ -230,16 +210,16 @@ def pretraining_time_to_train(scalefold: bool = True,
 
     if scalefold:
         gpu = gpu or "H100"
-        scenarios = (
-            _scalefold_scenario(dap_n=8, dp_degree=first.batch_size, gpu=gpu),
-            _scalefold_scenario(dap_n=8, dp_degree=second.batch_size, gpu=gpu,
-                                fused_mha=False))
+        phase1 = Scenario.scalefold(dp_degree=first.batch_size, gpu=gpu)
+        scenarios = (phase1, dataclasses.replace(
+            phase1, dp_degree=second.batch_size,
+            policy=phase1.policy.replace(fused_mha=False)))
         init = INIT_SECONDS_SCALEFOLD
         async_eval = True
         label = f"ScaleFold-pretrain-{gpu}"
     else:
         gpu = gpu or "A100"
-        scenarios = tuple(_reference_scenario(dp_degree=p.batch_size, gpu=gpu)
+        scenarios = tuple(Scenario(dp_degree=p.batch_size, gpu=gpu)
                           for p in PRETRAIN_PHASES)
         init = INIT_SECONDS_REFERENCE
         async_eval = False

@@ -15,9 +15,9 @@ from ..datapipe.prep_time import prep_time_series
 from ..datapipe.samples import (LENGTH_LOG_MEAN, LENGTH_LOG_SIGMA, LENGTH_MAX,
                                 LENGTH_MIN, SyntheticProteinDataset,
                                 make_batch, meta_batch)
-from ..distributed.dap import SERIAL_HINT, SHARDABLE_SCOPES, dap_comm_bundles
+from ..distributed.dap import SHARDABLE_SCOPES, dap_comm_bundles
 from ..model.alphafold import AlphaFold
-from ..model.config import AlphaFoldConfig, KernelPolicy
+from ..model.config import AlphaFoldConfig
 from ..model.loss import AlphaFoldLoss
 from ..train.convergence import (MAX_BATCH_SIZE, MLPERF_CHECKPOINT_SAMPLES,
                                  MLPERF_TARGET_LDDT, ConvergenceModel)
@@ -28,11 +28,8 @@ class AlphaFoldWorkload(Workload):
     """AlphaFold2 pretraining step (ScaleFold's MLPerf HPC OpenFold run)."""
 
     name = "alphafold"
-    title = "AlphaFold2/OpenFold protein-structure training"
     config_cls = AlphaFoldConfig
-    supports_recycling = True
     shardable_scopes = SHARDABLE_SCOPES
-    serial_scopes = SERIAL_HINT
     block_stacks = (("alphafold/evoformer/blocks", "evoformer_blocks"),
                     ("alphafold/extra_msa_stack/stack/blocks",
                      "extra_msa_blocks"),
@@ -86,10 +83,3 @@ class AlphaFoldWorkload(Workload):
 
     def infer(self, model, batch):
         return model(batch, n_recycle=1)
-
-    def bench_scenario_kwargs(self, gpu: str = "H100"):
-        # The 64-rank golden configuration (DAP-8 x DP-8, all opts on).
-        return dict(policy=KernelPolicy.scalefold(checkpointing=False),
-                    gpu=gpu, dap_n=8, dp_degree=8, cuda_graphs=True,
-                    gc_disabled=True, torch_compile=True,
-                    nonblocking_pipeline=True)

@@ -38,18 +38,12 @@ class Workload:
 
     #: Registry key; also the first component of every trace cache key.
     name: str = ""
-    #: One-line human description (shown by the CLI).
-    title: str = ""
     #: The config dataclass with ``tiny``/``small``/``full`` presets.
     config_cls: type = None  # type: ignore[assignment]
     #: Named size presets resolvable via :meth:`preset`.
     presets: Tuple[str, ...] = ("tiny", "small", "full")
-    #: Whether the model's forward takes an ``n_recycle`` argument.
-    supports_recycling: bool = False
     #: Scope prefixes the model-parallel partitioner may shard.
     shardable_scopes: Tuple[str, ...] = ()
-    #: Scope prefixes that stay replicated (serial modules).
-    serial_scopes: Tuple[str, ...] = ()
     #: Stacks of identical blocks, as (scope prefix, config depth field):
     #: block ``i`` scopes as ``<prefix>.<i>``.  The trace builder
     #: meta-executes each stack at a few blocks and extends it to full
@@ -165,8 +159,14 @@ class Workload:
     # ------------------------------------------------------------------
     def bench_scenario_kwargs(self, gpu: str = "H100") -> Dict[str, object]:
         """Scenario kwargs (minus ``workload``) for the golden multi-rank
-        estimate this workload contributes to the cross-workload table."""
-        raise NotImplementedError
+        estimate this workload contributes to the cross-workload table:
+        the ScaleFold system at DAP-8 x DP-8 (64 ranks)."""
+        from ..perf.scaling import Scenario  # perf.scaling imports workloads
+
+        scenario = Scenario.scalefold(gpu=gpu, dp_degree=8)
+        return {name: getattr(scenario, name) for name in (
+            "policy", "gpu", "dap_n", "dp_degree", "cuda_graphs",
+            "gc_disabled", "torch_compile", "nonblocking_pipeline")}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Workload {self.name!r}>"

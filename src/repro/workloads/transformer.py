@@ -209,13 +209,10 @@ class TransformerWorkload(Workload):
     """Decoder-only LLM pretraining step (tensor parallel + DDP)."""
 
     name = "transformer"
-    title = "GPT-style decoder-only LLM training (tensor parallel)"
     config_cls = TransformerConfig
-    supports_recycling = False
     #: The whole block stack is tensor-parallel; embeddings, final LN and
     #: the LM head stay replicated (the serial fraction).
     shardable_scopes = ("transformer/blocks",)
-    serial_scopes = ("transformer/lm_head",)
     block_stacks = (("transformer/blocks", "n_layers"),)
     #: ~1.4B parameters at the full preset.
     checkpoint_params = 1_412_000_000
@@ -274,10 +271,3 @@ class TransformerWorkload(Workload):
 
     def request_batch(self, cfg, request_id: int):
         return make_token_batch(cfg, seed=request_id)
-
-    def bench_scenario_kwargs(self, gpu: str = "H100"):
-        # TP-8 x DP-8: the transformer analogue of the 64-rank golden run.
-        return dict(policy=KernelPolicy.scalefold(checkpointing=False),
-                    gpu=gpu, dap_n=8, dp_degree=8, cuda_graphs=True,
-                    gc_disabled=True, torch_compile=True,
-                    nonblocking_pipeline=True)

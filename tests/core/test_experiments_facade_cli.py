@@ -4,13 +4,14 @@ and the CLI."""
 import numpy as np
 import pytest
 
-from repro import ScaleFold, ScaleFoldConfig
+from repro import AlphaFoldConfig, KernelPolicy, ScaleFold
 from repro.cli import main
 from repro.core.experiments import (EXPERIMENTS, ExperimentResult,
                                     run_experiment)
 from repro.core.optimizations import OPTIMIZATIONS, by_key, format_table
 from repro.observability.runlog import RunLogger
 from repro.perf.time_to_train import mlperf_time_to_train
+from repro.perf.trace_builder import build_step_trace
 
 
 class TestRegistry:
@@ -103,11 +104,19 @@ class TestFacade:
         assert est.total_s > 0
 
     def test_presets_differ(self):
-        ref = ScaleFoldConfig.mlperf_reference()
-        opt = ScaleFoldConfig.scalefold()
+        ref = ScaleFold.reference().scenario
+        opt = ScaleFold.scalefold().scenario
         assert not ref.policy.fused_mha
         assert opt.policy.fused_mha
-        assert opt.scenario.dap_n == 8
+        assert opt.dap_n == 8
+
+    def test_tiny_traces_the_tiny_preset(self):
+        """``tiny()`` describes the model it trains, not the full-size one."""
+        policy = KernelPolicy.reference()
+        expected = build_step_trace(policy, cfg=AlphaFoldConfig.tiny(policy))
+        step = ScaleFold.tiny().trace()
+        assert step.n_params == expected.n_params
+        assert list(step.trace.records) == list(expected.trace.records)
 
     def test_build_model_meta_for_full(self):
         model = ScaleFold.scalefold().build_model()
@@ -123,6 +132,28 @@ class TestFacade:
         assert result.total_minutes == mlperf_time_to_train().total_minutes
         assert log.find("status")[0]["value"] == "success"
         assert log.clock() == -1.0
+
+
+#: (command + output option, the work the command does before writing).
+OUTPUT_OPTIONS = [
+    (["report", "-o"], "repro.core.report.generate_report"),
+    (["trace", "export", "-o"], "repro.cli._build_profile_trace"),
+    (["lint", "-o"], "repro.analysis.run_lint"),
+    (["lint", "--write-baseline", "--baseline"], "repro.analysis.run_lint"),
+    (["bench", "-o"], "repro.perf.bench.run_bench"),
+    (["optimize", "-o"], "repro.optimize.optimize_workload"),
+    (["optimize", "--bench-out"], "repro.optimize.optimize_workload"),
+    (["faults", "-o"], "repro.perf.time_to_train.mlperf_time_to_train"),
+    (["faults", "--runlog"],
+     "repro.perf.time_to_train.mlperf_time_to_train"),
+    (["faults", "--trace"],
+     "repro.perf.time_to_train.mlperf_time_to_train"),
+    (["serve", "-o"], "repro.serve.run_fleet"),
+    (["serve", "--trace"], "repro.serve.run_fleet"),
+    (["calibrate", "-o"], "repro.calibrate.run_calibrate"),
+    (["calibrate", "--bench-out"], "repro.calibrate.run_calibrate"),
+    (["calibrate", "--samples-out"], "repro.calibrate.run_calibrate"),
+]
 
 
 class TestCli:
@@ -166,6 +197,24 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, work", OUTPUT_OPTIONS, ids=[
+        "_".join(a.lstrip("-") for a in argv) for argv, _ in OUTPUT_OPTIONS])
+    def test_output_into_missing_directory_fails_before_work(
+            self, argv, work, tmp_path, monkeypatch, capsys):
+        """Every output option checks its directory while parsing: exit 2
+        with ``error: argument ...`` before the command runs."""
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the path was checked")
+
+        monkeypatch.setattr(work, never)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(tmp_path / "missing" / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument " in err
+        assert "must be a path in an existing directory" in err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestTraceCli:

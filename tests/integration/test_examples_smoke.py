@@ -1,8 +1,10 @@
 """Smoke-run the cheap example scripts — examples must never rot.
 
-(The cluster-scale examples — quickstart, scaling_analysis, mlperf,
-pretrain — are exercised through the same library calls by the benchmark
-suite; running them here too would double multi-minute simulations.)
+``quickstart.py`` drives the ``ScaleFold`` facade the README shows; it runs
+in about 10 s from an empty store.  (The other cluster-scale examples —
+scaling_analysis, mlperf, pretrain — are exercised through the same library
+calls by the benchmark suite; running them here too would double their
+simulations.)
 """
 
 import os
@@ -16,6 +18,7 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 SRC_DIR = EXAMPLES_DIR.parent / "src"
 
 FAST_EXAMPLES = [
+    "quickstart.py",
     "kernel_fusion_demo.py",
     "numeric_dap.py",
     "memory_analysis.py",

@@ -249,3 +249,8 @@ class TestLadder:
         assert last.torch_compile and last.gc_disabled
         assert last.dap_n == 8
         assert not last.policy.activation_checkpointing
+
+    @pytest.mark.parametrize("gpu", ["H100", "A100"])
+    def test_last_stage_is_the_scalefold_system(self, gpu):
+        """The cumulative ladder ends at the one ScaleFold constructor."""
+        assert optimization_ladder(gpu)[-1] == Scenario.scalefold(gpu=gpu)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.model.config import KernelPolicy
 from repro.workloads import (DEFAULT_WORKLOAD, AlphaFoldWorkload,
                              TransformerWorkload, Workload, get_workload,
                              list_workloads, register_workload,
@@ -78,6 +79,16 @@ def test_protocol_surface(name):
     assert len(series) == 16 and (series > 0).all()
     kwargs = wl.bench_scenario_kwargs("H100")
     assert kwargs["gpu"] == "H100" and kwargs["dap_n"] >= 1
+
+
+@pytest.mark.parametrize("name", ["alphafold", "transformer"])
+def test_bench_scenario_kwargs_are_pinned(name):
+    """The 64-rank bench scenario (DAP-8 x DP-8, every optimization on):
+    the benchmark children and the goldens build on exactly these keys."""
+    assert get_workload(name).bench_scenario_kwargs("H100") == dict(
+        policy=KernelPolicy.scalefold(checkpointing=False), gpu="H100",
+        dap_n=8, dp_degree=8, cuda_graphs=True, gc_disabled=True,
+        torch_compile=True, nonblocking_pipeline=True)
 
 
 @pytest.mark.parametrize("name", ["alphafold", "transformer"])
