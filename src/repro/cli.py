@@ -331,7 +331,9 @@ def bench_command(argv: List[str]) -> int:
         print("FAIL: fast and event engines diverged", file=sys.stderr)
         return 1
     if not report["cache_gates"]["ok"]:
-        print("FAIL: cache hit-rate gates below threshold", file=sys.stderr)
+        print("FAIL: cache gates (a hit rate below its floor, or a trace "
+              "or partition lookup in the ladder's warm pass)",
+              file=sys.stderr)
         return 1
     return 0
 

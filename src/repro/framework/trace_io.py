@@ -80,6 +80,28 @@ def _record_from_dict(data: dict) -> KernelRecord:
     )
 
 
+def _unique_rows(records: List[KernelRecord]) -> Tuple[List[str], List[int]]:
+    """The distinct record lines in first-seen order, and each position's
+    row.  Positions often share one record object (a loaded trace, a
+    templated build), so each object is serialized once; the lookup
+    tables are freed before the caller writes the rows."""
+    rows: List[str] = []
+    row_of: Dict[str, int] = {}
+    slot_of: Dict[int, int] = {}
+    index: List[int] = []
+    for record in records:
+        slot = slot_of.get(id(record))
+        if slot is None:
+            line = json.dumps(_record_to_dict(record))
+            slot = row_of.get(line)
+            if slot is None:
+                slot = row_of[line] = len(rows)
+                rows.append(line)
+            slot_of[id(record)] = slot
+        index.append(slot)
+    return rows, index
+
+
 def dump_trace(trace: Trace, target: Union[str, IO[str]],
                meta: Optional[dict] = None) -> None:
     """Write a trace as JSON lines; ``.gz`` paths are gzip-compressed.
@@ -95,17 +117,7 @@ def dump_trace(trace: Trace, target: Union[str, IO[str]],
     else:
         handle = target
     try:
-        rows: List[str] = []
-        row_of: Dict[str, int] = {}
-        index: List[int] = []
-        for record in trace.records:
-            line = json.dumps(_record_to_dict(record))
-            slot = row_of.get(line)
-            if slot is None:
-                slot = len(rows)
-                row_of[line] = slot
-                rows.append(line)
-            index.append(slot)
+        rows, index = _unique_rows(trace.records)
         header = {"version": FORMAT_VERSION, "name": trace.name,
                   "records": len(trace.records), "rows": len(rows)}
         if meta is not None:
@@ -341,9 +353,14 @@ class TraceCacheStore:
 
         def writer(tmp: str) -> None:
             with open(tmp, "wb") as handle:
-                np.savez(handle, **arrays)
+                np.savez_compressed(handle, **arrays)
 
         return self._publish(path, writer)
+
+    def drop_arrays(self, material: str) -> None:
+        """Remove an array entry its reader rejected, so it is rebuilt."""
+        if self.enabled:
+            self._drop(self.arrays_path(material))
 
     # ------------------------------------------------------------------
     # Introspection / maintenance

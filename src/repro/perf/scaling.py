@@ -34,19 +34,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..datapipe.sim_pipeline import PipelineFeed, StallModel, stall_model
 from ..distributed.collectives import collective_time
-from ..distributed.dap import is_shardable, partition_step
+from ..distributed.dap import partition_step
 from ..distributed.ddp import bucket_schedule
 from ..distributed.straggler import ImbalanceInputs, StragglerModel
 from ..distributed.topology import ClusterTopology
 from ..framework.caching import LruCache, register_cache
 from ..framework.dtypes import bfloat16
-from ..framework.tracer import KernelCategory, KernelRecord
+from ..framework.tracer import KernelRecord
 from ..hardware.cpu import CpuJitterConfig
 from ..hardware.gpu import get_gpu, registry_token
 from ..hardware.roofline import CostModel
@@ -59,7 +59,7 @@ from .step_time import check_engine, simulate_step
 from .torchcompile import apply_torch_compile
 from .trace_builder import build_step_trace, trace_key
 from .vector_cost import (TraceStructure, cost_cache_material,
-                          trace_cost_arrays)
+                          extract_structure, trace_cost_arrays)
 
 #: Rank-level simulation horizon: warmup steps absorb loader cold start and
 #: are excluded from the reported means.
@@ -199,24 +199,25 @@ class _PlanOp:
     phase: str
 
 
-def _build_step_plan(records: Sequence[KernelRecord],
+def _build_step_plan(structure: TraceStructure,
                      segments, topo: ClusterTopology) -> List[_PlanOp]:
     """Turn kernel-level segment marks into a rank-step schedule.
 
     Each compute segment becomes a timed span on the rank's GPU stream; each
-    embedded COMM record becomes a collective bundle (costed through the
-    alpha-beta model) at exactly that position.
+    embedded COMM record (``structure.comm_positions``) becomes a collective
+    bundle (costed through the alpha-beta model) at exactly that position.
     """
+    comm_at = {pos: k for k, pos in
+               enumerate(structure.comm_positions.tolist())}
     plan: List[_PlanOp] = []
     for seg in segments:
         if seg.wall_s > 0.0:
             plan.append(_PlanOp("compute", seg.wall_s, seg.phase))
-        if seg.end_index < len(records):
-            rec = records[seg.end_index]
-            if rec.category is KernelCategory.COMM:
-                events = (rec.tags or {}).get("dap_bundle", ())
-                seconds = sum(collective_time(ev, topo) for ev in events)
-                plan.append(_PlanOp("comm", seconds, rec.phase))
+        k = comm_at.get(seg.end_index)
+        if k is not None:
+            seconds = sum(collective_time(ev, topo)
+                          for ev in structure.comm_events[k])
+            plan.append(_PlanOp("comm", seconds, structure.comm_phases[k]))
     return plan
 
 
@@ -431,18 +432,44 @@ def _scenario_key(scenario: Scenario) -> Tuple:
 _ESTIMATE_CACHE = register_cache(LruCache(capacity=256, name="step-estimates"))
 
 
+#: Scenario fields that do not reach the partitioned records: the GPU (the
+#: cost material carries its whole spec) and the rank-stage fields.  Every
+#: other field is part of the records' identity (:func:`_records_id`).
+_RANK_FIELDS = ("gpu", "dp_degree", "cuda_graphs", "gc_disabled",
+                "nonblocking_pipeline", "data_workers", "imbalance_enabled",
+                "seed", "ddp_bucket_mb")
+
+
+def _records_id(scenario: Scenario) -> Tuple:
+    """Identity of a scenario's partitioned (and compiled) records: its
+    trace key plus every :class:`Scenario` field outside
+    :data:`_RANK_FIELDS`, so a new field can never alias them.  It keys the
+    partition entry and, through :func:`cost_cache_material`, the cost
+    entry a warm estimate trusts without the records behind it."""
+    wl = get_workload(scenario.workload)
+    cfg = wl.preset(scenario.preset, scenario.policy)
+    values = ((f.name, getattr(scenario, f.name))
+              for f in dataclasses.fields(scenario)
+              if f.name not in _RANK_FIELDS)
+    fields = tuple((name, v.signature() if isinstance(v, KernelPolicy) else v)
+                   for name, v in values)
+    return ("dap-records",
+            trace_key(scenario.policy, n_recycle=scenario.n_recycle, cfg=cfg,
+                      workload=wl),
+            fields)
+
+
 @dataclass
 class _Partition:
-    """One DAP-partitioned (and optionally compiled) record list plus the
-    GPU-independent data derived from it."""
+    """The structure of one DAP-partitioned (and optionally compiled)
+    record list, and the records once something needed them.
 
-    records: List[KernelRecord]
-    #: Per record: does it sit in a DAP-shardable scope?  Splits the
-    #: device time into serial and parallel parts.
-    shardable: np.ndarray
-    #: Taken from the first cost-array build or disk hit, so a later GPU
-    #: re-costs it instead of re-walking the records.
-    structure: Optional[TraceStructure] = None
+    An entry taken from a cost-entry hit holds only the structure: another
+    GPU re-costs it, and builds the records just for the tunable kernels.
+    """
+
+    structure: TraceStructure
+    records: Optional[List[KernelRecord]] = None
 
 
 #: DAP partitioning + the torch.compile record transform are pure
@@ -451,8 +478,8 @@ class _Partition:
 #: sharing a partitioned trace share one entry instead of re-partitioning
 #: ~150k records per estimate.  Sized for the optimizer's joint knob
 #: search (policy x DAP x compile combinations alive at once), not just
-#: the 10-rung ladder; entries are full record lists, so the cap stays
-#: moderate.
+#: the 10-rung ladder; entries may hold full record lists, so the cap
+#: stays moderate.
 _DAP_CACHE = register_cache(LruCache(capacity=32, name="dap-partitions"))
 
 
@@ -461,8 +488,32 @@ def clear_estimate_cache() -> None:
 
 
 def clear_partition_cache() -> None:
-    """Drop cached DAP partitions with the masks and structures they hold."""
+    """Drop cached DAP partitions with the records and structures they
+    hold."""
     _DAP_CACHE.clear()
+
+
+def _partition(scenario: Scenario, records_id: Tuple) -> _Partition:
+    """The partition entry of ``records_id``, with its records: on a miss,
+    or for an entry that holds only a structure, the step trace is built,
+    DAP-partitioned and compiled."""
+    part = _DAP_CACHE.get(records_id)
+    if part is not None and part.records is not None:
+        return part
+    wl = get_workload(scenario.workload)
+    cfg = wl.preset(scenario.preset, scenario.policy)
+    trace = build_step_trace(scenario.policy, n_recycle=scenario.n_recycle,
+                             cfg=cfg, workload=wl)
+    records = partition_step(trace, scenario.dap_n, wl, cfg)
+    if scenario.torch_compile:
+        records = apply_torch_compile(records)
+    structure = part.structure if part is not None else None
+    if structure is None or structure.n_records != len(records):
+        structure = extract_structure(records, wl.shardable_scopes,
+                                      trace.n_params)
+    part = _Partition(structure, records)
+    _DAP_CACHE.put(records_id, part)
+    return part
 
 
 def estimate_step_time(scenario: Scenario,
@@ -487,49 +538,44 @@ def estimate_step_time(scenario: Scenario,
     wl = get_workload(scenario.workload)
     gpu = get_gpu(scenario.gpu)
     topo = ClusterTopology(gpu=gpu, n_gpus=scenario.world_size)
-    cfg = wl.preset(scenario.preset, scenario.policy)
-    trace = build_step_trace(scenario.policy, n_recycle=scenario.n_recycle,
-                             cfg=cfg, workload=wl)
-    records_id = ("dap-records",
-                  trace_key(scenario.policy, n_recycle=scenario.n_recycle,
-                            cfg=cfg, workload=wl),
-                  scenario.dap_n, scenario.torch_compile)
+    records_id = _records_id(scenario)
+    looked_up: List[_Partition] = []
 
-    def build_partition() -> _Partition:
-        recs = partition_step(trace, scenario.dap_n, wl, cfg)
-        if scenario.torch_compile:
-            recs = apply_torch_compile(recs)
-        scopes = wl.shardable_scopes
-        shardable = np.fromiter((is_shardable(r, scopes) for r in recs),
-                                dtype=bool, count=len(recs))
-        return _Partition(recs, shardable)
-
-    part = _DAP_CACHE.get_or_create(records_id, build_partition)
-    records = part.records
+    def partition() -> _Partition:
+        # At most one partition lookup per estimate, and none on a hit.
+        if not looked_up:
+            looked_up.append(_partition(scenario, records_id))
+        return looked_up[0]
 
     # --- kernel level: dispatch vs compute streams, segment marks at every
     # collective position and phase boundary ---
     cost = CostModel(gpu, autotune=True)
-    # The per-kernel cost arrays depend only on (trace identity, DAP degree,
-    # compile transform, GPU spec, autotune): one evaluation shared by every
-    # scenario over the same partitioned trace — and, via the on-disk store,
-    # by every fresh process.
+    # The per-kernel cost arrays and the structure they carry depend only
+    # on (partitioned-trace identity, GPU spec, autotune): one evaluation
+    # shared by every scenario over the same partitioned trace, and, via
+    # the on-disk store, by every fresh process.  The fast engine reads
+    # nothing else from the records, so a hit builds none; the event
+    # engine's oracle walks the records themselves.
+    records = partition().records if engine == "event" else None
     costs = trace_cost_arrays(
-        records, cost,
+        records if records is not None else lambda: partition().records,
+        cost,
         store_material=cost_cache_material(repr(records_id), gpu, True),
-        structure=part.structure)
-    if part.structure is None:
-        part.structure = costs.structure
+        structure=lambda: partition().structure)
+    structure = costs.structure
+    if records_id not in _DAP_CACHE:
+        # A cost-entry hit: keep its structure, so another GPU re-costs it
+        # instead of re-walking the records.
+        _DAP_CACHE.put(records_id, _Partition(structure))
     breakdown = simulate_step(records, gpu, cost,
                               graphed=scenario.cuda_graphs,
-                              segment_marks=costs.structure.default_marks,
+                              segment_marks=structure.default_marks,
                               engine=engine, costs=costs)
-    plan = _build_step_plan(records, breakdown.segments, topo)
-    shardable = part.shardable[costs.structure.exec_idx]
-    serial_s = sequential_sum(costs.seconds[~shardable])
-    parallel_s = sequential_sum(costs.seconds[shardable])
+    plan = _build_step_plan(structure, breakdown.segments, topo)
+    serial_s = sequential_sum(costs.seconds[~structure.shardable])
+    parallel_s = sequential_sum(costs.seconds[structure.shardable])
 
-    param_bytes = trace.n_params * scenario.policy.dtype.itemsize
+    param_bytes = structure.n_params * scenario.policy.dtype.itemsize
     buckets = bucket_schedule(param_bytes, scenario.dp_degree, topo,
                               bucket_bytes=int(scenario.ddp_bucket_mb * 2**20))
 

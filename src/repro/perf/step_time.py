@@ -92,7 +92,7 @@ def check_engine(engine: str) -> None:
                          f"one of {ENGINES}")
 
 
-def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
+def simulate_step(records: Optional[Iterable[KernelRecord]], gpu: GpuSpec,
                   cost_model: Optional[CostModel] = None,
                   graphed: bool = False,
                   segment_marks: Optional[Sequence[int]] = None,
@@ -124,11 +124,16 @@ def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
             :class:`ValueError`.
         costs: precomputed cost arrays for ``records`` (from
             :func:`repro.perf.vector_cost.trace_cost_arrays`); the fast
-            engine computes them on the fly when absent.
+            engine computes them on the fly when absent.  With ``costs``
+            the fast engine works from the arrays alone: ``records`` may
+            be None unless ``on_kernel`` needs them.
     """
     check_engine(engine)
-    recs = records if isinstance(records, list) else list(records)
+    recs = (None if records is None
+            else records if isinstance(records, list) else list(records))
     if engine == "event":
+        if recs is None:
+            raise ValueError("the event engine needs the records")
         return _simulate_step_event(
             recs, gpu, cost_model, graphed, segment_marks, timeline, rank,
             on_kernel)
@@ -140,20 +145,24 @@ def simulate_step(records: Iterable[KernelRecord], gpu: GpuSpec,
 # ----------------------------------------------------------------------
 # Fast engine: closed-form vectorized recurrence over cost arrays
 # ----------------------------------------------------------------------
-def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
+def _simulate_step_fast(recs: Optional[List[KernelRecord]], gpu: GpuSpec,
                         cost_model: Optional[CostModel], graphed: bool,
                         segment_marks: Optional[Sequence[int]],
                         timeline: Optional[Timeline], rank: int,
                         on_kernel: Optional[Callable],
                         costs: Optional[TraceCostArrays]
                         ) -> StepTimeBreakdown:
+    if recs is None and (costs is None or on_kernel is not None):
+        raise ValueError("the fast engine needs the records unless it is "
+                         "given cost arrays and no on_kernel hook")
     if costs is None:
         costs = compute_cost_arrays(recs, cost_model or CostModel(gpu))
-    elif costs.structure.n_records != len(recs):
+    elif recs is not None and costs.structure.n_records != len(recs):
         raise ValueError(
             f"cost arrays cover {costs.structure.n_records} records but the "
             f"trace has {len(recs)}")
     structure = costs.structure
+    n_records = structure.n_records
 
     dispatch = gpu.dispatch_seconds(graphed=graphed)
     m = costs.m
@@ -195,8 +204,8 @@ def _simulate_step_fast(recs: List[KernelRecord], gpu: GpuSpec,
     segments: List[SegmentSpan] = []
     if segment_marks is not None:
         marks = sorted(set(int(x) for x in segment_marks))
-        if not marks or marks[-1] != len(recs):
-            marks.append(len(recs))
+        if not marks or marks[-1] != n_records:
+            marks.append(n_records)
         thresholds = np.searchsorted(
             structure.exec_idx, np.asarray(marks, dtype=np.int64),
             side="left")

@@ -13,11 +13,12 @@ recomputes the segments the changed knob actually touches:
 
 * :class:`TraceStructure` — everything that depends *only* on the record
   list (executable positions, flops/bytes, category/phase/dtype codes,
-  default segment marks, tunable positions).  Extracting it is the single
-  O(n) Python walk over ~150k records; callers keep it next to the records
-  it came from (:mod:`repro.perf.scaling` stores it in the partition
-  entry), so changing the GPU or the autotune flag never re-walks the
-  records.
+  default segment marks, tunable positions, the DAP shard mask, the COMM
+  records' collectives and the trace's parameter count).  Extracting it is
+  the single O(n) Python walk over ~150k records; callers keep it next to
+  the records it came from (:mod:`repro.perf.scaling` stores it in the
+  partition entry), so changing the GPU or the autotune flag never re-walks
+  the records.
 * the **cost segment** — ``seconds``/``limiter_codes``, the only arrays
   that read the :class:`CostModel`.  Re-costing an already-extracted
   structure for a different :class:`GpuSpec` is a handful of vectorized
@@ -34,35 +35,47 @@ value).
 
 When the caller provides key material, arrays are cached under it in a
 bounded LRU and persisted to the content-addressed on-disk store, so fresh
-processes skip the evaluation entirely.  Persisted entries carry the
-structure arrays too (format v2), so a disk hit for one GPU also yields the
-structure every other GPU is re-costed from.
+processes skip the evaluation entirely.  Persisted entries carry the whole
+structure too (format v3), so a hit holds everything a fast step estimate
+reads from the records: the caller passes the records as a callable that
+only a miss calls, and a hit builds no records at all.  A disk hit for one
+GPU also yields the structure every other GPU is re-costed from.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..distributed.collectives import Collective, CommEvent
+from ..distributed.dap import is_shardable
 from ..framework.caching import LruCache, register_cache
 from ..framework.tracer import KernelCategory, KernelRecord
 from ..framework.trace_io import default_store
 from ..hardware.roofline import (COST_MODEL_VERSION, LIMITERS, CostModel,
                                  _math_dtype)
 
-#: Bump when the array layout changes (invalidates persisted entries).
+#: Bump when the array layout changes (invalidates persisted entries), and
+#: when a change to ``partition_step``, a workload's ``dap_comm_bundles`` or
+#: ``apply_torch_compile`` changes the records an entry was built from: a
+#: hit trusts the entry without the records behind it.
 #: v2 added the structure arrays (flops/bytes/dtype codes/tunables) so a
-#: disk hit carries the GPU-independent structure too.
-ARRAYS_FORMAT_VERSION = 2
+#: disk hit carries the GPU-independent structure too; v3 added the shard
+#: mask, the COMM records' collectives and ``n_params``, everything a fast
+#: step estimate reads, and compresses the entry.
+ARRAYS_FORMAT_VERSION = 3
 
 #: Stable category encoding (enum definition order).
 CATEGORY_ORDER: Tuple[KernelCategory, ...] = tuple(KernelCategory)
 _CATEGORY_CODE = {cat: i for i, cat in enumerate(CATEGORY_ORDER)}
 _MATH_CODE = _CATEGORY_CODE[KernelCategory.MATH]
 _MEMOP_CODE = _CATEGORY_CODE[KernelCategory.MEMORY_OP]
+#: Stable collective encoding (enum definition order).
+COLLECTIVE_ORDER: Tuple[Collective, ...] = tuple(Collective)
+_COLLECTIVE_CODE = {c: i for i, c in enumerate(COLLECTIVE_ORDER)}
 
 
 def _executable(record: KernelRecord) -> bool:
@@ -81,7 +94,8 @@ class TraceStructure:
     """GPU-independent per-kernel data for one record list.
 
     Everything here is a pure function of the (partitioned, compiled)
-    record sequence: no field reads a :class:`GpuSpec`, a
+    record sequence, the workload's shardable scopes and the trace's
+    parameter count: no field reads a :class:`GpuSpec`, a
     :class:`CostModel` or the autotuner, so one structure is shared by
     every GPU/autotune costing of the same records.
     """
@@ -102,6 +116,17 @@ class TraceStructure:
     #: COMM record and every phase boundary (may contain duplicates,
     #: simulate_step dedups).
     default_marks: np.ndarray
+    #: bool[m]: does the kernel sit in a DAP-shardable scope?  Splits the
+    #: device time into serial and parallel parts.
+    shardable: np.ndarray
+    #: Positions of the COMM records in the full record list, each one's
+    #: phase, and the collectives it launches (its ``tags["dap_bundle"]``).
+    comm_positions: np.ndarray     # int64[c]
+    comm_phases: Tuple[str, ...]
+    comm_events: Tuple[Tuple[CommEvent, ...], ...]
+    #: Parameter count of the step trace the records came from (it sizes
+    #: the DDP gradient buckets).
+    n_params: int
 
     @property
     def m(self) -> int:
@@ -177,9 +202,10 @@ class TraceCostArrays:
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
         s = self.structure
+        events = [ev for bundle in s.comm_events for ev in bundle]
         return {
-            "format": np.array([ARRAYS_FORMAT_VERSION, s.n_records],
-                               dtype=np.int64),
+            "format": np.array([ARRAYS_FORMAT_VERSION, s.n_records,
+                                s.n_params], dtype=np.int64),
             "exec_idx": s.exec_idx,
             "seconds": self.seconds,
             "phase_codes": s.phase_codes,
@@ -192,6 +218,18 @@ class TraceCostArrays:
             "dtype_codes": s.dtype_codes,
             "dtype_names": np.array(s.dtype_names, dtype=np.str_),
             "tunable_positions": s.tunable_positions,
+            "shardable": np.packbits(s.shardable),
+            "comm_positions": s.comm_positions,
+            "comm_phases": np.array(s.comm_phases, dtype=np.str_),
+            "comm_event_counts": np.array(
+                [len(bundle) for bundle in s.comm_events], dtype=np.int64),
+            "comm_collectives": np.array(
+                [_COLLECTIVE_CODE[ev.collective] for ev in events],
+                dtype=np.int8),
+            "comm_bytes": np.array([ev.payload_bytes for ev in events],
+                                   dtype=np.float64),
+            "comm_groups": np.array([ev.group_size for ev in events],
+                                    dtype=np.int64),
         }
 
     @classmethod
@@ -200,6 +238,13 @@ class TraceCostArrays:
         header = data.get("format")
         if header is None or int(header[0]) != ARRAYS_FORMAT_VERSION:
             return None
+        m = int(data["exec_idx"].shape[0])
+        events = [CommEvent(COLLECTIVE_ORDER[code], payload, group)
+                  for code, payload, group in zip(
+                      data["comm_collectives"].tolist(),
+                      data["comm_bytes"].tolist(),
+                      data["comm_groups"].tolist())]
+        ends = np.cumsum(data["comm_event_counts"]).tolist()
         structure = TraceStructure(
             n_records=int(header[1]),
             exec_idx=data["exec_idx"].astype(np.int64, copy=False),
@@ -214,6 +259,13 @@ class TraceCostArrays:
             tunable_positions=data["tunable_positions"].astype(
                 np.int64, copy=False),
             default_marks=data["default_marks"].astype(np.int64, copy=False),
+            shardable=np.unpackbits(data["shardable"], count=m).astype(bool),
+            comm_positions=data["comm_positions"].astype(np.int64,
+                                                         copy=False),
+            comm_phases=tuple(str(p) for p in data["comm_phases"]),
+            comm_events=tuple(tuple(events[start:end]) for start, end
+                              in zip([0] + ends[:-1], ends)),
+            n_params=int(header[2]),
         )
         return cls(
             structure=structure,
@@ -247,8 +299,15 @@ def reset_build_counters() -> None:
 # ----------------------------------------------------------------------
 # Structure extraction: the single O(n) Python walk over the records
 # ----------------------------------------------------------------------
-def extract_structure(records: Sequence[KernelRecord]) -> TraceStructure:
-    """Walk ``records`` once into the GPU-independent structure arrays."""
+def extract_structure(records: Sequence[KernelRecord],
+                      shard_scopes: Tuple[str, ...] = (),
+                      n_params: int = 0) -> TraceStructure:
+    """Walk ``records`` once into the GPU-independent structure arrays.
+
+    ``shard_scopes`` are the scope prefixes DAP shards (the workload's
+    ``shardable_scopes``; none by default) and ``n_params`` the parameter
+    count of the trace the records came from.
+    """
     with _COUNTERS_LOCK:
         _COUNTERS["structure_builds"] += 1
     n = len(records)
@@ -263,12 +322,19 @@ def extract_structure(records: Sequence[KernelRecord]) -> TraceStructure:
     dtype_names: List[str] = []
     dtype_code_of: Dict[str, int] = {}
     tunable_positions: List[int] = []  # indices into the executable arrays
+    shardable: List[bool] = []
     marks: List[int] = []
+    comm_positions: List[int] = []
+    comm_phases: List[str] = []
+    comm_events: List[Tuple[CommEvent, ...]] = []
     last_phase: Optional[str] = None
 
     for i, r in enumerate(records):
         if r.category is KernelCategory.COMM:
             marks.append(i)
+            comm_positions.append(i)
+            comm_phases.append(r.phase)
+            comm_events.append(tuple((r.tags or {}).get("dap_bundle", ())))
         if i and r.phase != last_phase:
             marks.append(i)
         last_phase = r.phase
@@ -290,6 +356,7 @@ def extract_structure(records: Sequence[KernelRecord]) -> TraceStructure:
         dtype_codes.append(dcode)
         if r.tunable is not None:
             tunable_positions.append(len(exec_idx) - 1)
+        shardable.append(is_shardable(r, shard_scopes))
 
     return TraceStructure(
         n_records=n,
@@ -303,6 +370,11 @@ def extract_structure(records: Sequence[KernelRecord]) -> TraceStructure:
         dtype_names=tuple(dtype_names),
         tunable_positions=np.asarray(tunable_positions, dtype=np.int64),
         default_marks=np.asarray(marks, dtype=np.int64),
+        shardable=np.asarray(shardable, dtype=bool),
+        comm_positions=np.asarray(comm_positions, dtype=np.int64),
+        comm_phases=tuple(comm_phases),
+        comm_events=tuple(comm_events),
+        n_params=n_params,
     )
 
 
@@ -392,10 +464,12 @@ def cost_cache_material(trace_material: str, gpu, autotune: bool) -> str:
                  trace_material, gpu_sig, autotune))
 
 
-def trace_cost_arrays(records: Sequence[KernelRecord],
+def trace_cost_arrays(records: Union[Sequence[KernelRecord],
+                                      Callable[[], Sequence[KernelRecord]]],
                       cost_model: CostModel,
                       store_material: Optional[str] = None,
-                      structure: Optional[TraceStructure] = None
+                      structure: Union[None, TraceStructure,
+                                       Callable[[], TraceStructure]] = None
                       ) -> TraceCostArrays:
     """Cost arrays for ``records``, cached in memory and on disk.
 
@@ -406,11 +480,20 @@ def trace_cost_arrays(records: Sequence[KernelRecord],
     turns a miss that only changed the GPU into a re-costing instead of a
     re-walk of the records.  Callers that cannot produce a stable identity
     (ad hoc record lists) pass no material and pay one evaluation.
+
+    With ``store_material``, ``records`` and ``structure`` may each be a
+    zero-argument callable instead, called only when neither the LRU nor
+    the store holds the entry, so a hit builds no records.  A cached or
+    stored entry is checked against the record count only when the
+    records are given as a list; a stored entry that fails that check or
+    is of another format version is removed and rebuilt.
     """
     if store_material is None:
         return compute_cost_arrays(records, cost_model, structure=structure)
+    n_records = None if callable(records) else len(records)
     cached = _ARRAY_CACHE.get(store_material)
-    if cached is not None and cached.structure.n_records == len(records):
+    if cached is not None and n_records in (None,
+                                            cached.structure.n_records):
         return cached
 
     store = default_store()
@@ -418,15 +501,23 @@ def trace_cost_arrays(records: Sequence[KernelRecord],
     payload = store.get_arrays(store_material)
     if payload is not None:
         arrays = TraceCostArrays.from_arrays(payload)
-        if arrays is not None and arrays.structure.n_records != len(records):
-            arrays = None  # stale entry for different-shaped records
+        if arrays is None or n_records not in (None,
+                                               arrays.structure.n_records):
+            arrays = None  # other format, or different-shaped records
+            store.drop_arrays(store_material)
     fresh = arrays is None
     if fresh:
-        arrays = compute_cost_arrays(records, cost_model, structure=structure)
+        arrays = compute_cost_arrays(_called(records), cost_model,
+                                     structure=_called(structure))
     _ARRAY_CACHE.put(store_material, arrays)
     if fresh:
         store.put_arrays(store_material, arrays.to_arrays())
     return arrays
+
+
+def _called(value):
+    """``value()`` for a callable, else ``value`` itself."""
+    return value() if callable(value) else value
 
 
 def clear_cost_cache() -> None:

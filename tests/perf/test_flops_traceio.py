@@ -2,6 +2,7 @@
 
 import gzip
 import io
+import json
 
 import numpy as np
 import pytest
@@ -117,6 +118,38 @@ class TestTraceIO:
     def test_version_check(self):
         with pytest.raises(ValueError, match="version"):
             trace_from_string('{"version": 99, "name": "x", "records": 0}\n')
+
+    @pytest.mark.parametrize("workload", ["alphafold", "transformer"])
+    def test_dump_matches_the_per_record_serialization(self, workload):
+        """``dump_trace`` serializes each record object once; its output
+        equals serializing every position, for a built and a loaded bench
+        trace (a loaded one shares objects across positions)."""
+        from repro.framework.trace_io import _record_to_dict
+        from repro.perf.trace_builder import build_step_trace
+        from repro.workloads import get_workload
+
+        def per_record(t) -> str:
+            rows, row_of, index = [], {}, []
+            for record in t.records:
+                line = json.dumps(_record_to_dict(record))
+                slot = row_of.get(line)
+                if slot is None:
+                    slot = row_of[line] = len(rows)
+                    rows.append(line)
+                index.append(slot)
+            header = {"version": 2, "name": t.name,
+                      "records": len(t.records), "rows": len(rows)}
+            lines = [json.dumps(header)] + rows + [json.dumps(index)]
+            return "".join(line + "\n" for line in lines)
+
+        wl = get_workload(workload)
+        policy = wl.bench_scenario_kwargs()["policy"]
+        step = build_step_trace(policy, cfg=wl.preset("full", policy),
+                                workload=wl)
+        text = trace_to_string(step.trace)
+        assert text == per_record(step.trace)
+        loaded = trace_from_string(text)
+        assert trace_to_string(loaded) == per_record(loaded) == text
 
     def test_costs_survive_roundtrip(self, tmp_path):
         """A loaded trace must produce identical simulated step times."""

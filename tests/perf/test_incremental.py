@@ -37,12 +37,12 @@ def _base() -> Scenario:
 
 
 def _partition_entries():
-    """Every cached DAP partition with the shard mask and structure it
+    """Every cached DAP partition with the structure and shard mask it
     holds (``get`` of a cached key only counts a hit, never a miss)."""
     entries = {}
     for key in scaling._DAP_CACHE:
         part = scaling._DAP_CACHE.get(key)
-        entries[key] = (part, part.shardable, part.structure)
+        entries[key] = (part, part.structure, part.structure.shardable)
     return entries
 
 
@@ -101,8 +101,8 @@ class TestPerKnobInvalidation:
         assert counters["cost_builds"] == 1       # seconds re-priced
         assert misses.get("dap-partitions", 0) == 0
         assert len(partitions) == 1
-        assert all(structure is not None
-                   for _, _, structure in partitions.values())
+        assert all(part.records is not None
+                   for part, _, _ in partitions.values())
         assert _kept(partitions)  # same mask and structure
         assert misses.get("step-traces", 0) == 0
 
