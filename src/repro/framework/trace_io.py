@@ -1,191 +1,141 @@
-"""Trace serialization and the persistent on-disk trace/cost cache.
+"""The persistent on-disk store of step traces and cost arrays.
 
 Paper-scale traces are expensive to regenerate (~seconds of shape
-propagation over 100k+ ops); serializing them lets analyses run offline,
-diffs be archived next to results, and external tooling consume them.
+propagation over 100k+ ops), so :class:`TraceCacheStore` keeps them, and
+the numpy cost arrays priced from them, in a content-addressed directory.
+CLI runs, examples and benchmark sessions started in a fresh process hit
+the store and skip the meta-build entirely.  Location: ``$REPRO_CACHE_DIR``
+(default ``~/.cache/repro``); set ``REPRO_TRACE_CACHE=0`` to disable.
 
-Two layers live here:
-
-* **Flat format** (:func:`dump_trace` / :func:`load_trace`): JSON-lines,
-  gzip-compressed for ``.gz`` paths.  Format v2 deduplicates identical
-  kernel records — a 157k-kernel step trace has only a few thousand
-  distinct (name, flops, bytes, shape, scope, ...) rows, so v2 files are
-  much smaller and load much faster (the loader *shares* one
-  :class:`KernelRecord` object across identical positions, which is safe
-  because records are immutable by convention — every transform in the
-  codebase copies via :meth:`KernelRecord.scaled`).  v1 files still load.
-* **Content-addressed cache** (:class:`TraceCacheStore`): a directory of
-  traces and numpy cost arrays keyed by the SHA-256 of caller-provided key
-  material (the trace builder uses its ``_cfg_key``/``_policy_key``
-  signature).  CLI runs, examples and benchmark sessions started in a fresh
-  process hit the disk cache and skip the meta-build entirely.  Location:
-  ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``); set
-  ``REPRO_TRACE_CACHE=0`` to disable.
+Both entry kinds are ``<sha256>.npz`` files written by
+:func:`numpy.savez_compressed`, with no pickled objects.  The SHA-256 is of
+caller-provided key material, which differs between the kinds: a trace's
+names the workload, policy and config, a cost entry's also the GPU and the
+cost model.  A trace entry is columnar: one row per distinct record (the
+golden 45k-record step trace has about 20k), an int32 index from trace
+positions to rows, the caller's ``meta`` as one JSON string, and a
+``format`` array holding :data:`TRACE_FORMAT_VERSION`.  The loader builds
+one :class:`KernelRecord` per row and shares it across the positions that
+use it, which is safe because records are immutable by convention (every
+transform copies via :meth:`KernelRecord.scaled`).
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
-import io
 import json
 import os
 import tempfile
 import threading
-from typing import IO, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .tracer import KernelCategory, KernelRecord, Trace
 
-#: v1 = one JSON object per record; v2 = deduplicated rows + index array.
-FORMAT_VERSION = 2
+#: ``format[0]`` of a trace entry (1 and 2 were JSON-lines formats).  An
+#: entry of another version is a miss whose file is removed.
+TRACE_FORMAT_VERSION = 3
 
 #: Cache location override / kill-switch environment variables.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV = "REPRO_TRACE_CACHE"
 
-_GZIP_LEVEL = 5
+_CATEGORIES = tuple(KernelCategory)
+_CATEGORY_CODE = {category: i for i, category in enumerate(_CATEGORIES)}
+
+#: Record fields stored as int32 codes into a table of their distinct
+#: values (-1 for None): the strings, tags by their JSON text, and shapes.
+_STRING_FIELDS = ("name", "dtype", "scope", "phase", "tunable", "tags")
+_CODED = _STRING_FIELDS + ("shape",)
 
 
-def _record_to_dict(record: KernelRecord) -> dict:
-    return {
-        "name": record.name,
-        "category": record.category.name,
-        "flops": record.flops,
-        "bytes": record.bytes,
-        "shape": list(record.shape),
-        "dtype": record.dtype,
-        "scope": record.scope,
-        "fused": record.fused,
-        "phase": record.phase,
-        "tunable": record.tunable,
-        "tags": record.tags,
-    }
+def _coded(values: List[object]) -> Tuple[np.ndarray, List[object]]:
+    """Codes of ``values`` into their distinct values (first-seen order)."""
+    table: Dict[object, int] = {}
+    codes = [-1 if v is None else table.setdefault(v, len(table))
+             for v in values]
+    return np.array(codes, dtype=np.int32), list(table)
 
 
-def _record_from_dict(data: dict) -> KernelRecord:
-    return KernelRecord(
-        name=data["name"],
-        category=KernelCategory[data["category"]],
-        flops=float(data["flops"]),
-        bytes=float(data["bytes"]),
-        shape=tuple(int(s) for s in data["shape"]),
-        dtype=data["dtype"],
-        scope=data["scope"],
-        fused=bool(data["fused"]),
-        phase=data["phase"],
-        tunable=data.get("tunable"),
-        tags=data.get("tags"),
-    )
-
-
-def _unique_rows(records: List[KernelRecord]) -> Tuple[List[str], List[int]]:
-    """The distinct record lines in first-seen order, and each position's
-    row.  Positions often share one record object (a loaded trace, a
-    templated build), so each object is serialized once; the lookup
-    tables are freed before the caller writes the rows."""
-    rows: List[str] = []
-    row_of: Dict[str, int] = {}
+def _encode_trace(trace: Trace, meta: Optional[dict]) -> Dict[str, np.ndarray]:
+    """The columns of one trace entry."""
+    # Positions often share one record object (a loaded trace, a templated
+    # build), so each object is encoded once.
     slot_of: Dict[int, int] = {}
-    index: List[int] = []
-    for record in records:
-        slot = slot_of.get(id(record))
-        if slot is None:
-            line = json.dumps(_record_to_dict(record))
-            slot = row_of.get(line)
-            if slot is None:
-                slot = row_of[line] = len(rows)
-                rows.append(line)
-            slot_of[id(record)] = slot
-        index.append(slot)
-    return rows, index
+    objects: List[KernelRecord] = []
+    slots: List[int] = []
+    for record in trace.records:
+        slot = slot_of.setdefault(id(record), len(objects))
+        if slot == len(objects):
+            objects.append(record)
+        slots.append(slot)
+    del slot_of
+    columns = {
+        "category": np.array([_CATEGORY_CODE[r.category] for r in objects],
+                             dtype=np.int8),
+        "flops": np.array([r.flops for r in objects], dtype=np.float64),
+        "bytes": np.array([r.bytes for r in objects], dtype=np.float64),
+        "fused": np.array([r.fused for r in objects], dtype=bool),
+    }
+    tables: Dict[str, List[object]] = {}
+    for field in _CODED:
+        values = [getattr(r, field) for r in objects]
+        if field == "tags":
+            values = [None if v is None else json.dumps(v) for v in values]
+        columns[field], tables[field] = _coded(values)
+
+    # One row per distinct record: the objects' columns compared as bytes,
+    # so equal rows have equal float bits.
+    keys = np.empty(len(objects), dtype=[(name, column.dtype) for name, column
+                                         in columns.items()])
+    for name, column in columns.items():
+        keys[name] = column
+    keys = keys.view(np.dtype((np.void, keys.itemsize)))
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    del keys
+    order = np.argsort(first)  # rows in first-seen order
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(order.size)
+    arrays = {name: column[first[order]] for name, column in columns.items()}
+    arrays["index"] = row_of[inverse][slots].astype(np.int32)
+    for field in _STRING_FIELDS:
+        arrays[f"{field}_table"] = np.array(tables[field], dtype=np.str_)
+    shapes = tables["shape"]
+    arrays["shape_ndim"] = np.array([len(s) for s in shapes], dtype=np.int64)
+    arrays["shape_dims"] = np.array([d for s in shapes for d in s],
+                                    dtype=np.int64)
+    arrays["trace_name"] = np.array(trace.name, dtype=np.str_)
+    arrays["meta"] = np.array(json.dumps(meta), dtype=np.str_)
+    arrays["format"] = np.array([TRACE_FORMAT_VERSION], dtype=np.int64)
+    return arrays
 
 
-def dump_trace(trace: Trace, target: Union[str, IO[str]],
-               meta: Optional[dict] = None) -> None:
-    """Write a trace as JSON lines; ``.gz`` paths are gzip-compressed.
-
-    First line is a header (format version, trace name, record count, and
-    any caller ``meta``); then one line per *unique* record, then one line
-    holding the index array mapping trace positions to unique rows.
-    """
-    own = isinstance(target, str)
-    if own:
-        handle: IO[str] = (gzip.open(target, "wt", compresslevel=_GZIP_LEVEL)
-                           if target.endswith(".gz") else open(target, "w"))
-    else:
-        handle = target
-    try:
-        rows, index = _unique_rows(trace.records)
-        header = {"version": FORMAT_VERSION, "name": trace.name,
-                  "records": len(trace.records), "rows": len(rows)}
-        if meta is not None:
-            header["meta"] = meta
-        handle.write(json.dumps(header) + "\n")
-        for line in rows:
-            handle.write(line + "\n")
-        handle.write(json.dumps(index) + "\n")
-    finally:
-        if own:
-            handle.close()
-
-
-def load_trace_with_meta(source: Union[str, IO[str]]
-                         ) -> Tuple[Trace, Optional[dict]]:
-    """Load a trace written by :func:`dump_trace`, plus its header meta."""
-    own = isinstance(source, str)
-    if own:
-        handle: IO[str] = (gzip.open(source, "rt")
-                           if source.endswith(".gz") else open(source))
-    else:
-        handle = source
-    try:
-        header = json.loads(handle.readline())
-        version = header.get("version")
-        trace = Trace(name=header.get("name", "trace"))
-        if version == 1:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    trace.records.append(_record_from_dict(json.loads(line)))
-        elif version == FORMAT_VERSION:
-            n_rows = int(header["rows"])
-            try:
-                rows = [_record_from_dict(json.loads(handle.readline()))
-                        for _ in range(n_rows)]
-                index = json.loads(handle.readline())
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    "truncated trace: unique-record rows or index line "
-                    "missing") from exc
-            # Identical positions share one immutable record object.
-            trace.records = [rows[i] for i in index]
-        else:
-            raise ValueError(f"unsupported trace format version {version!r}")
-        if len(trace.records) != header.get("records", len(trace.records)):
-            raise ValueError(
-                f"truncated trace: header promised {header['records']} "
-                f"records, found {len(trace.records)}")
-        return trace, header.get("meta")
-    finally:
-        if own:
-            handle.close()
-
-
-def load_trace(source: Union[str, IO[str]]) -> Trace:
-    """Load a trace written by :func:`dump_trace` (meta discarded)."""
-    return load_trace_with_meta(source)[0]
-
-
-def trace_to_string(trace: Trace) -> str:
-    buf = io.StringIO()
-    dump_trace(trace, buf)
-    return buf.getvalue()
-
-
-def trace_from_string(text: str) -> Trace:
-    return load_trace(io.StringIO(text))
+def _decode_trace(data) -> Tuple[Trace, Optional[dict]]:
+    """A trace and its meta from the columns of :func:`_encode_trace`."""
+    if int(data["format"][0]) != TRACE_FORMAT_VERSION:
+        raise ValueError(f"trace entry format {data['format'][0]!r}")
+    tables = {field: data[f"{field}_table"].tolist()
+              for field in _STRING_FIELDS}
+    dims = data["shape_dims"].tolist()
+    ends = np.cumsum(data["shape_ndim"]).tolist()
+    tables["shape"] = [tuple(dims[start:end])
+                       for start, end in zip([0] + ends[:-1], ends)]
+    fields = {}
+    for field in _CODED:
+        table = tables[field]
+        fields[field] = [None if c < 0 else table[c]
+                         for c in data[field].tolist()]
+    rows = [KernelRecord(*values) for values in zip(
+        fields["name"], [_CATEGORIES[c] for c in data["category"].tolist()],
+        data["flops"].tolist(), data["bytes"].tolist(), fields["shape"],
+        fields["dtype"], fields["scope"], data["fused"].tolist(),
+        fields["phase"], fields["tunable"],
+        [None if t is None else json.loads(t) for t in fields["tags"]])]
+    trace = Trace(name=data["trace_name"].item())
+    trace.records = [rows[i] for i in data["index"].tolist()]
+    return trace, json.loads(data["meta"].item())
 
 
 # ----------------------------------------------------------------------
@@ -228,31 +178,17 @@ class TraceCacheStore:
         #: instead of re-staging an identical temp file, and ``writes``
         #: counts published entries, not redundant attempts.
         self._write_locks: Dict[str, threading.Lock] = {}
-        self.trace_hits = 0
-        self.trace_misses = 0
-        self.array_hits = 0
-        self.array_misses = 0
-        self.writes = 0
+        self._counts = dict.fromkeys(("trace_hits", "trace_misses",
+                                      "array_hits", "array_misses",
+                                      "writes"), 0)
 
-    # ------------------------------------------------------------------
-    # Paths
-    # ------------------------------------------------------------------
-    def trace_path(self, material: str) -> str:
-        return os.path.join(self.root, f"{content_key(material)}.trace.gz")
-
-    def arrays_path(self, material: str) -> str:
+    def path(self, material: str) -> str:
+        """The entry of ``material``, of either kind."""
         return os.path.join(self.root, f"{content_key(material)}.npz")
 
-    def _atomic_write(self, path: str, writer) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        os.close(fd)
-        try:
-            writer(tmp)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            self._counts[counter] += 1
 
     def _write_lock(self, path: str) -> threading.Lock:
         with self._lock:
@@ -261,23 +197,55 @@ class TraceCacheStore:
                 lock = self._write_locks[path] = threading.Lock()
             return lock
 
-    def _publish(self, path: str, writer) -> Optional[str]:
-        """Write ``path`` atomically, once, no matter how many racers.
+    def _publish(self, material: str,
+                 encode: Callable[[], Dict[str, np.ndarray]]) -> Optional[str]:
+        """Write the entry ``encode()`` returns, atomically and once, no
+        matter how many racers.
 
         Entries are content-addressed: every writer racing on a path is
         staging identical bytes, so the first publisher wins and the rest
-        return the already-published path without counting a write.
+        return the already-published path without encoding or counting a
+        write.
         """
+        if not self.enabled:
+            return None
+        path = self.path(material)
         with self._write_lock(path):
             if os.path.exists(path):
                 return path
             try:
-                self._atomic_write(path, writer)
+                os.makedirs(self.root, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+                try:
+                    with os.fdopen(fd, "wb") as handle:
+                        np.savez_compressed(handle, **encode())
+                    os.replace(tmp, path)
+                finally:
+                    if os.path.exists(tmp):
+                        os.unlink(tmp)
             except OSError:
                 return None  # unwritable cache dir: degrade to no caching
-            with self._lock:
-                self.writes += 1
+            self._count("writes")
         return path
+
+    def _load(self, material: str, decode: Callable[[object], object],
+              kind: str) -> object:
+        """``decode`` of the entry of ``material``, or None.  A missing
+        file is a miss; an unreadable entry, or one ``decode`` rejects, is
+        a miss whose file is removed, so that it is rebuilt."""
+        if not self.enabled:
+            return None
+        path = self.path(material)
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                result = decode(data)
+        except FileNotFoundError:
+            result = None
+        except Exception:
+            self._drop(path)
+            result = None
+        self._count(f"{kind}_misses" if result is None else f"{kind}_hits")
+        return result
 
     @staticmethod
     def _drop(path: str) -> None:
@@ -287,80 +255,28 @@ class TraceCacheStore:
             pass
 
     # ------------------------------------------------------------------
-    # Traces
+    # The two entry kinds
     # ------------------------------------------------------------------
     def get_trace(self, material: str) -> Optional[Tuple[Trace, Optional[dict]]]:
-        if not self.enabled:
-            return None
-        path = self.trace_path(material)
-        try:
-            with gzip.open(path, "rt") as handle:
-                result = load_trace_with_meta(handle)
-        except FileNotFoundError:
-            with self._lock:
-                self.trace_misses += 1
-            return None
-        except Exception:
-            # Corrupt / truncated / incompatible entry: rebuild it.
-            self._drop(path)
-            with self._lock:
-                self.trace_misses += 1
-            return None
-        with self._lock:
-            self.trace_hits += 1
-        return result
+        return self._load(material, _decode_trace, "trace")
 
     def put_trace(self, material: str, trace: Trace,
                   meta: Optional[dict] = None) -> Optional[str]:
-        if not self.enabled:
-            return None
-        path = self.trace_path(material)
+        return self._publish(material, lambda: _encode_trace(trace, meta))
 
-        def writer(tmp: str) -> None:
-            with gzip.open(tmp, "wt", compresslevel=_GZIP_LEVEL) as handle:
-                dump_trace(trace, handle, meta=meta)
-
-        return self._publish(path, writer)
-
-    # ------------------------------------------------------------------
-    # Numpy arrays (vectorized per-kernel costs)
-    # ------------------------------------------------------------------
     def get_arrays(self, material: str) -> Optional[Dict[str, np.ndarray]]:
-        if not self.enabled:
-            return None
-        path = self.arrays_path(material)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                result = {k: data[k] for k in data.files}
-        except FileNotFoundError:
-            with self._lock:
-                self.array_misses += 1
-            return None
-        except Exception:
-            self._drop(path)
-            with self._lock:
-                self.array_misses += 1
-            return None
-        with self._lock:
-            self.array_hits += 1
-        return result
+        return self._load(material,
+                          lambda data: {k: data[k] for k in data.files},
+                          "array")
 
     def put_arrays(self, material: str,
                    arrays: Dict[str, np.ndarray]) -> Optional[str]:
-        if not self.enabled:
-            return None
-        path = self.arrays_path(material)
-
-        def writer(tmp: str) -> None:
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-
-        return self._publish(path, writer)
+        return self._publish(material, lambda: arrays)
 
     def drop_arrays(self, material: str) -> None:
         """Remove an array entry its reader rejected, so it is rebuilt."""
         if self.enabled:
-            self._drop(self.arrays_path(material))
+            self._drop(self.path(material))
 
     # ------------------------------------------------------------------
     # Introspection / maintenance
@@ -373,7 +289,7 @@ class TraceCacheStore:
             return []
         out = []
         for name in names:
-            if name.endswith((".trace.gz", ".npz")):
+            if name.endswith(".npz"):
                 try:
                     out.append((name, os.path.getsize(
                         os.path.join(self.root, name))))
@@ -392,13 +308,7 @@ class TraceCacheStore:
     def stats(self) -> Dict[str, object]:
         entries = self.entries()
         with self._lock:  # counters snapshot atomically vs writers
-            counters = {
-                "trace_hits": self.trace_hits,
-                "trace_misses": self.trace_misses,
-                "array_hits": self.array_hits,
-                "array_misses": self.array_misses,
-                "writes": self.writes,
-            }
+            counters = dict(self._counts)
         return {
             "root": self.root,
             "enabled": self.enabled,

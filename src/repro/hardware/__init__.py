@@ -9,13 +9,13 @@ immune to CPU peaks.
 from .cpu import CpuJitterConfig
 from .gpu import (A100, B200, GH200, GPUS, H100, TPU_V5P, GpuSpec,
                   UnknownGpuError, get_gpu, list_gpus, register_gpu,
-                  registry_token, unregister_gpu)
+                  unregister_gpu)
 from .roofline import CostModel, KernelCost
 
 __all__ = [
     "CpuJitterConfig",
     "A100", "B200", "GH200", "GPUS", "H100", "TPU_V5P", "GpuSpec",
     "UnknownGpuError", "get_gpu", "list_gpus", "register_gpu",
-    "registry_token", "unregister_gpu",
+    "unregister_gpu",
     "CostModel", "KernelCost",
 ]

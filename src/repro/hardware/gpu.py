@@ -16,9 +16,9 @@ constants and every catalog spec uses them, so catalog numbers are
 bit-identical to the pre-calibration model.
 
 The registry is *extensible*: :func:`register_gpu` installs a calibrated
-spec under a new (or replaced) name at runtime, and
-:func:`registry_token` gives caches a per-name epoch so an estimate
-computed against a since-replaced spec can never be replayed stale.
+spec under a new (or replaced) name at runtime.  Caches key on the spec's
+:meth:`GpuSpec.signature`, not its name, so an estimate or cost computed
+against a since-replaced spec can never be replayed stale.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import difflib
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 # ----------------------------------------------------------------------
 # Default roofline shape parameters (fit targets for repro.calibrate).
@@ -139,6 +139,13 @@ class GpuSpec:
         if self.sms < 1:
             raise ValueError(
                 f"GpuSpec {self.name!r}: sms must be >= 1, got {self.sms}")
+
+    def signature(self) -> Tuple[Tuple[str, str], ...]:
+        """``(field, repr(value))`` pairs of every field, sorted by name:
+        the GPU half of every cost and estimate cache key, so a spec
+        re-registered under the same name never aliases the old one."""
+        return tuple(sorted((f.name, repr(getattr(self, f.name)))
+                            for f in dataclasses.fields(self)))
 
     def peak_flops(self, dtype: str) -> float:
         """Peak FLOP/s for a dtype (falls back to fp32 for unknown names)."""
@@ -286,14 +293,8 @@ GPUS: Dict[str, GpuSpec] = {
 #: Names of the immutable factory catalog (runtime registrations excluded).
 CATALOG = tuple(sorted(GPUS))
 
-#: Per-name registration epoch.  Catalog names start at 0; every
-#: :func:`register_gpu` call bumps the target name's epoch, and caches
-#: keyed by GPU *name* must include :func:`registry_token` so estimates
-#: computed against a replaced spec are never replayed stale.
-_REGISTRY_EPOCHS: Dict[str, int] = {}
-
-#: Guards ``GPUS`` and ``_REGISTRY_EPOCHS``, so a thread resolving a spec
-#: never sees a half-installed one while a calibration run registers it.
+#: Guards ``GPUS``, so a thread resolving a spec never sees a
+#: half-installed one while a calibration run registers it.
 _REGISTRY_LOCK = threading.Lock()
 
 
@@ -306,8 +307,8 @@ def register_gpu(key: str, spec: GpuSpec, *, replace: bool = False) -> str:
     """Install a spec (e.g. a calibrated fit) under ``key`` at runtime.
 
     Returns the canonical registry key.  Replacing an existing name
-    requires ``replace=True`` and bumps that name's registry epoch so
-    downstream caches keyed on the name invalidate.
+    requires ``replace=True``; caches key on :meth:`GpuSpec.signature`, so
+    none serves the replaced spec.
     """
     canon = canonical_gpu_name(key)
     if not canon:
@@ -318,7 +319,6 @@ def register_gpu(key: str, spec: GpuSpec, *, replace: bool = False) -> str:
                 f"GPU {canon!r} is already registered; pass replace=True to "
                 "overwrite it")
         GPUS[canon] = spec
-        _REGISTRY_EPOCHS[canon] = _REGISTRY_EPOCHS.get(canon, 0) + 1
     return canon
 
 
@@ -329,16 +329,6 @@ def unregister_gpu(key: str) -> None:
         raise ValueError(f"cannot unregister catalog spec {canon!r}")
     with _REGISTRY_LOCK:
         GPUS.pop(canon, None)
-        # Leave the epoch bumped: a future re-registration under the same
-        # name must not collide with cache entries from the removed spec.
-        if canon in _REGISTRY_EPOCHS:
-            _REGISTRY_EPOCHS[canon] += 1
-
-
-def registry_token(name: str) -> int:
-    """Cache epoch for a GPU name (0 for untouched catalog entries)."""
-    with _REGISTRY_LOCK:
-        return _REGISTRY_EPOCHS.get(canonical_gpu_name(name), 0)
 
 
 def list_gpus() -> List[str]:

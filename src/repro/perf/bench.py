@@ -9,8 +9,8 @@ Writes one machine-readable report of three parts:
 * **ladder sweep** — the Figure-8 optimization ladder, one
   :func:`estimate_step_time` per rung, cold and then again with the
   estimate memo cleared;
-* **cache gates** — a hit-rate floor on the cost-array cache over the
-  session, and no trace or partition lookup in the ladder's warm pass.
+* **cache gates** — in the ladder's warm pass, no trace or partition
+  lookup, and every cost-array lookup a hit.
 
 The two engines must agree bit-for-bit on every simulated number;
 ``golden_match`` is false (and the CLI exits nonzero) if any row differs.
@@ -43,25 +43,15 @@ SPEEDUP_TARGET = 5.0
 #: How many ladder rungs a ``--quick`` (CI) run sweeps.
 QUICK_LADDER_RUNGS = 3
 
-#: Minimum hit rate per registered cache over one bench session (stats are
-#: reset at session start).  Only gated when the cache saw at least
-#: :data:`CACHE_GATE_MIN_LOOKUPS` lookups, so an unexercised cache can
-#: never fail.  The floor sits below the measured rate with margin (quick /
-#: full: 0.67/0.65; the ladder runs serially, so every run reads the same
-#: rates); a capacity regression (re-evicting what a sweep re-uses) drops
-#: the full run's rate well under it (a one-entry LRU reads 0.31 there, and
-#: 0.50 in the quick run, whose rows re-read their own entry).
-CACHE_HIT_THRESHOLDS: Dict[str, float] = {
-    "cost-arrays": 0.40,
-}
-
-#: Below this many lookups a hit rate is noise, not a signal.
-CACHE_GATE_MIN_LOOKUPS = 4
-
 #: Caches the ladder's warm pass must not look up at all: every rung's cost
 #: entry is in memory, and a fast estimate reads nothing else from its
 #: trace or partition.
 WARM_PASS_UNTOUCHED = ("step-traces", "dap-partitions")
+
+#: The cache whose every warm-pass lookup must hit: the cold pass just
+#: stored each rung's cost entry, so a miss means the cache lost one (a
+#: capacity regression that re-evicts what a sweep re-uses).
+WARM_PASS_HITS = "cost-arrays"
 
 
 def _timed(fn: Callable[[], object]) -> Tuple[float, object]:
@@ -153,33 +143,21 @@ def _bench_ladder(gpu: str, quick: bool) -> Dict[str, object]:
         "cold_s": cold_s,
         "warm_s": warm_s,
         "warm_lookups": {name: after[name].lookups - before[name].lookups
-                         for name in WARM_PASS_UNTOUCHED},
+                         for name in WARM_PASS_UNTOUCHED + (WARM_PASS_HITS,)},
+        "warm_misses": {WARM_PASS_HITS: (after[WARM_PASS_HITS].misses
+                                         - before[WARM_PASS_HITS].misses)},
     }
 
 
-def cache_gate_report(warm_lookups: Dict[str, int]) -> Dict[str, object]:
-    """Per-cache hit-rate gates over the current registry counters, and the
-    ladder warm pass's lookups of :data:`WARM_PASS_UNTOUCHED` (each must
-    be 0)."""
-    gates: Dict[str, object] = {}
-    ok = all(n == 0 for n in warm_lookups.values())
-    for name, stats in sorted(cache_registry().items()):
-        threshold = CACHE_HIT_THRESHOLDS.get(name)
-        if threshold is None:
-            continue
-        applicable = stats.lookups >= CACHE_GATE_MIN_LOOKUPS
-        passed = (not applicable) or stats.hit_rate >= threshold
-        gates[name] = {
-            "hit_rate": stats.hit_rate,
-            "lookups": stats.lookups,
-            "evictions": stats.evictions,
-            "threshold": threshold,
-            "applicable": applicable,
-            "ok": passed,
-        }
-        ok = ok and passed
-    return {"gates": gates, "warm_pass_lookups": dict(warm_lookups),
-            "ok": ok}
+def cache_gate_report(ladder: Dict[str, object]) -> Dict[str, object]:
+    """The ladder warm pass's cache gates: no lookup of
+    :data:`WARM_PASS_UNTOUCHED`, and at least one lookup of
+    :data:`WARM_PASS_HITS`, every one a hit."""
+    lookups, misses = ladder["warm_lookups"], ladder["warm_misses"]
+    ok = (not any(lookups[name] for name in WARM_PASS_UNTOUCHED)
+          and lookups[WARM_PASS_HITS] > 0 and not misses[WARM_PASS_HITS])
+    return {"warm_pass_lookups": dict(lookups),
+            "warm_pass_misses": dict(misses), "ok": ok}
 
 
 def run_bench(gpu: str = "H100", quick: bool = False,
@@ -201,7 +179,7 @@ def run_bench(gpu: str = "H100", quick: bool = False,
         "ladder_sweep": ladder,
         "caches": {name: stats.as_dict()
                    for name, stats in sorted(cache_registry().items())},
-        "cache_gates": cache_gate_report(ladder["warm_lookups"]),
+        "cache_gates": cache_gate_report(ladder),
         "disk_store": default_store().stats(),
         "golden_match": all(row["match"] for row in rows.values()),
     }
@@ -229,11 +207,13 @@ def format_bench(report: Dict[str, object]) -> str:
     lines.append(f"ladder sweep ({ls['n_scenarios']} scenarios): "
                  f"cold {ls['cold_s']:.3f}s, warm {ls['warm_s']:.3f}s")
     cg = report["cache_gates"]
-    gated = [f"{name} {row['hit_rate']:.2f}/{row['threshold']:.2f}"
-             + ("" if row["ok"] else " FAIL")
-             for name, row in cg["gates"].items() if row["applicable"]]
-    gated += [f"{name} warm-pass lookups {n}/0" + ("" if n == 0 else " FAIL")
-              for name, n in cg["warm_pass_lookups"].items()]
+    lookups, misses = cg["warm_pass_lookups"], cg["warm_pass_misses"]
+    gated = [f"{name} warm-pass lookups {lookups[name]}/0"
+             + (" FAIL" if lookups[name] else "")
+             for name in WARM_PASS_UNTOUCHED]
+    n, missed = lookups[WARM_PASS_HITS], misses[WARM_PASS_HITS]
+    gated.append(f"{WARM_PASS_HITS} warm-pass misses {missed}/0 of {n}"
+                 + ("" if n and not missed else " FAIL"))
     lines.append("cache gates: " + ", ".join(gated) + f" -> ok={cg['ok']}")
     store = report["disk_store"]
     lines.append(f"disk store: {store['entries']} entries, {store['bytes']:,} B "

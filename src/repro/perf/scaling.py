@@ -48,7 +48,7 @@ from ..framework.caching import LruCache, register_cache
 from ..framework.dtypes import bfloat16
 from ..framework.tracer import KernelRecord
 from ..hardware.cpu import CpuJitterConfig
-from ..hardware.gpu import get_gpu, registry_token
+from ..hardware.gpu import get_gpu
 from ..hardware.roofline import CostModel
 from ..model.config import KernelPolicy
 from ..sim.des import Barrier, Event, Process, Resource, Simulator, Timeline
@@ -418,15 +418,14 @@ def _simulate_rank_steps(plan: List[_PlanOp],
 
 def _scenario_key(scenario: Scenario) -> Tuple:
     # Every field is part of the key, so a new Scenario field can never
-    # alias cached estimates.  The registry token pins the key to the
-    # *current* spec registered under the name: re-registering a calibrated
-    # spec bumps the epoch, so estimates computed against the replaced spec
-    # can't be replayed.
+    # alias cached estimates.  The spec signature pins the key to the spec
+    # registered under the name now, as it pins the cost caches: estimates
+    # computed against a replaced spec can't be replayed.
     values = tuple(getattr(scenario, f.name)
                    for f in dataclasses.fields(scenario))
     return (tuple(v.signature() if isinstance(v, KernelPolicy) else v
                   for v in values)
-            + (registry_token(scenario.gpu),))
+            + (get_gpu(scenario.gpu).signature(),))
 
 
 _ESTIMATE_CACHE = register_cache(LruCache(capacity=256, name="step-estimates"))

@@ -458,10 +458,8 @@ def cost_cache_material(trace_material: str, gpu, autotune: bool) -> str:
     """Key material for one cost-array entry: the trace identity plus
     everything the cost model reads (full GPU spec, autotune flag, model
     and layout versions)."""
-    gpu_sig = tuple(sorted((name, repr(getattr(gpu, name)))
-                           for name in gpu.__dataclass_fields__))
     return repr(("cost-arrays", ARRAYS_FORMAT_VERSION, COST_MODEL_VERSION,
-                 trace_material, gpu_sig, autotune))
+                 trace_material, gpu.signature(), autotune))
 
 
 def trace_cost_arrays(records: Union[Sequence[KernelRecord],

@@ -8,7 +8,7 @@ from repro.calibrate import fit_spec, synthetic_samples
 from repro.calibrate.fit import CalibrationFit
 from repro.calibrate.gate import cross_engine_gate, fidelity_gate
 from repro.hardware import (A100, B200, GH200, H100, get_gpu, register_gpu,
-                            registry_token, unregister_gpu)
+                            unregister_gpu)
 from repro.model.config import KernelPolicy
 from repro.perf.scaling import Scenario, estimate_step_time
 from repro.serve.costs import inference_cost
@@ -84,7 +84,6 @@ class TestRegistryCacheInvalidation:
         from repro.perf.scaling import _scenario_key
         try:
             fidelity_gate(calibrated_fit, register_as="CAL-EPOCH")
-            token = registry_token("CAL-EPOCH")
             key = _scenario_key(scenario)
             first = estimate_step_time(scenario).total_s
 
@@ -96,9 +95,8 @@ class TestRegistryCacheInvalidation:
                     calibrated_fit.spec.cpu_launch_overhead_us * 10.0))
             refit = dataclasses.replace(calibrated_fit, spec=slower)
             fidelity_gate(refit, register_as="CAL-EPOCH")
-            # The epoch bump changes every cache key derived from the
-            # name, so no estimate/cost cache can serve the old spec.
-            assert registry_token("CAL-EPOCH") > token
+            # Every cache key carries the spec's signature, so no
+            # estimate/cost cache can serve the old spec.
             assert _scenario_key(scenario) != key
             second = estimate_step_time(scenario).total_s
             assert second > first, "re-registered spec not picked up"

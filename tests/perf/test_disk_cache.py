@@ -2,7 +2,6 @@
 
 import dataclasses
 import glob
-import gzip
 import os
 import threading
 
@@ -10,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.framework.trace_io import (CACHE_DIR_ENV, CACHE_DISABLE_ENV,
-                                      TraceCacheStore, cache_enabled,
-                                      content_key, default_cache_dir,
-                                      default_store, reset_default_store)
+                                      TRACE_FORMAT_VERSION, TraceCacheStore,
+                                      cache_enabled, content_key,
+                                      default_cache_dir, default_store,
+                                      reset_default_store)
 from repro.hardware.gpu import GpuSpec, get_gpu
 from repro.hardware.roofline import CostModel
 from repro.framework.caching import LruCache
@@ -56,18 +56,20 @@ class TestStoreRoundTrip:
         assert len(loaded.records) == len(step.trace.records)
         assert all(a.name == b.name and a.flops == b.flops
                    for a, b in zip(loaded.records, step.trace.records))
-        assert store.trace_hits == 1 and store.writes == 1
+        stats = store.stats()
+        assert stats["trace_hits"] == 1 and stats["writes"] == 1
 
     def test_missing_entry_is_a_counted_miss(self, store):
         assert store.get_trace("nope") is None
         assert store.get_arrays("nope") is None
-        assert store.trace_misses == 1 and store.array_misses == 1
+        stats = store.stats()
+        assert stats["trace_misses"] == 1 and stats["array_misses"] == 1
 
     def test_corrupt_entry_dropped_and_missed(self, store):
         step, _, _ = _tiny_trace()
         path = store.put_trace("k1", step.trace)
-        with gzip.open(path, "wt") as handle:
-            handle.write('{"version": 2, "records": 99')
+        with open(path, "wb") as handle:
+            handle.write(b"PK\x03\x04 not a zip archive")
         assert store.get_trace("k1") is None
         assert not os.path.exists(path)
 
@@ -216,11 +218,11 @@ class TestBuilderIntegration:
         policy = KernelPolicy.reference()
         cfg = AlphaFoldConfig.tiny(policy)
         first = build_step_trace(policy, cfg=cfg)
-        assert glob.glob(os.path.join(cache_env, "*.trace.gz"))
+        assert glob.glob(os.path.join(cache_env, "*.npz"))
         fresh_memo()  # drop the in-memory memo: force the disk path
         second = build_step_trace(policy, cfg=cfg)
         assert second is not first
-        assert default_store().trace_hits >= 1
+        assert default_store().stats()["trace_hits"] >= 1
         assert second.n_params == first.n_params
         assert second.param_shapes == first.param_shapes
         recs1, recs2 = first.trace.records, second.trace.records
@@ -228,6 +230,37 @@ class TestBuilderIntegration:
         assert all(a.name == b.name and a.flops == b.flops
                    and a.bytes == b.bytes and a.phase == b.phase
                    for a, b in zip(recs1, recs2))
+
+    @pytest.mark.parametrize("damage", ["truncated", "format"])
+    def test_rejected_trace_entry_is_a_miss_and_rebuilt(self, cache_env,
+                                                        fresh_memo, damage):
+        policy = KernelPolicy.reference()
+        cfg = AlphaFoldConfig.tiny(policy)
+        first = build_step_trace(policy, cfg=cfg)
+        path = default_store().path(trace_store_material(
+            trace_key(policy, cfg=cfg)))
+        if damage == "truncated":
+            with open(path, "rb") as handle:
+                blob = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(blob[:len(blob) // 2])
+        else:
+            with np.load(path) as data:
+                payload = {k: data[k] for k in data.files}
+            payload["format"] = np.array([TRACE_FORMAT_VERSION + 1])
+            with open(path, "wb") as handle:
+                np.savez_compressed(handle, **payload)
+        fresh_memo()
+        misses = default_store().stats()["trace_misses"]
+        second = build_step_trace(policy, cfg=cfg)
+        assert default_store().stats()["trace_misses"] == misses + 1
+        assert second.trace.records == first.trace.records
+        with np.load(path) as data:
+            assert int(data["format"][0]) == TRACE_FORMAT_VERSION
+        fresh_memo()
+        assert build_step_trace(policy, cfg=cfg).trace.records \
+            == first.trace.records
+        assert default_store().stats()["trace_misses"] == misses + 1
 
     def test_cold_build_stores_only_the_full_config(self, cache_env,
                                                     fresh_memo):
@@ -239,7 +272,7 @@ class TestBuilderIntegration:
         key = trace_key(policy, cfg=cfg, workload="transformer")
         step = build_step_trace(policy, cfg=cfg, workload="transformer")
         assert os.listdir(cache_env) == [os.path.basename(
-            default_store().trace_path(trace_store_material(key)))]
+            default_store().path(trace_store_material(key)))]
         assert len(trace_builder._CACHE) == 1
         assert trace_builder._CACHE.get(key) is step
 
@@ -280,8 +313,8 @@ class TestConcurrentWriters:
         for t in threads:
             t.join()
 
-        assert store.writes == 1
-        assert len(glob.glob(os.path.join(store.root, "*.trace.gz"))) == 1
+        assert store.stats()["writes"] == 1
+        assert len(glob.glob(os.path.join(store.root, "*.npz"))) == 1
         loaded, meta = store.get_trace("hot-key")
         assert meta == {"kind": "t"}
         assert len(loaded.records) == len(step.trace.records)
@@ -301,7 +334,7 @@ class TestConcurrentWriters:
         for t in threads:
             t.join()
 
-        assert store.writes == 3
+        assert store.stats()["writes"] == 3
         for i in range(3):
             assert store.get_trace(f"key-{i}") is not None
 
@@ -319,7 +352,7 @@ class TestConcurrentWriters:
         for t in threads:
             t.join()
 
-        assert store.writes == 1
+        assert store.stats()["writes"] == 1
         loaded = store.get_arrays("hot-arrays")
         np.testing.assert_array_equal(loaded["seconds"], arrays["seconds"])
 

@@ -1,15 +1,14 @@
-"""Analytic-vs-traced FLOP cross-check and trace serialization."""
+"""Analytic-vs-traced FLOP cross-check and the store's trace entries."""
 
-import gzip
-import io
-import json
+import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from repro.framework import Tensor, no_grad, trace
-from repro.framework.trace_io import (dump_trace, load_trace,
-                                      trace_from_string, trace_to_string)
+from repro.framework.trace_io import TraceCacheStore, _encode_trace
+from repro.framework.tracer import KernelRecord
 from repro.datapipe.samples import SyntheticProteinDataset, make_batch
 from repro.model.config import AlphaFoldConfig
 from repro.model.evoformer import EvoformerBlock
@@ -72,6 +71,32 @@ class TestAnalyticVsTraced:
         assert shares["evoformer"] > 10 * shares["template_stack"]
 
 
+FIELDS = [f.name for f in dataclasses.fields(KernelRecord)]
+
+
+def _rows(records):
+    """Every field of each record, with its type, floats by their bits."""
+    return [tuple((type(v), v.hex() if isinstance(v, float) else v)
+                  for v in (getattr(r, f) for f in FIELDS))
+            for r in records]
+
+
+def _bench_trace(workload):
+    """The workload's full-size bench trace, built (no cache read)."""
+    from repro.perf.trace_builder import build_step_trace
+    from repro.workloads import get_workload
+
+    wl = get_workload(workload)
+    policy = wl.bench_scenario_kwargs()["policy"]
+    return build_step_trace(policy, cfg=wl.preset("full", policy),
+                            use_cache=False, workload=wl).trace
+
+
+@pytest.fixture
+def store(tmp_path):
+    return TraceCacheStore(root=str(tmp_path / "store"), enabled=True)
+
+
 class TestTraceIO:
     def _sample_trace(self):
         from repro.framework import ops
@@ -80,86 +105,84 @@ class TestTraceIO:
             a = Tensor(np.ones((4, 4), np.float32))
             ops.matmul(a, a)
             ops.softmax(a)
+            ops.matmul(a, a)
+        t.records.append(dataclasses.replace(
+            t.records[0], tags={"collective": "all_gather", "n": 2}))
         return t
 
-    def test_string_roundtrip(self):
+    def _roundtrip(self, store, t, meta=None):
+        """``t`` put and got back: its fields exactly, one record object
+        per distinct row."""
+        key = f"trace-{store.stats()['writes']}"
+        store.put_trace(key, t, meta=meta)
+        loaded, loaded_meta = store.get_trace(key)
+        assert loaded.name == t.name
+        assert loaded_meta == meta
+        rows = _rows(loaded.records)
+        assert rows == _rows(t.records)
+        assert len({id(r) for r in loaded.records}) \
+            == len({repr(row) for row in rows})
+        return loaded
+
+    def test_file_roundtrip(self, store):
         t = self._sample_trace()
-        back = trace_from_string(trace_to_string(t))
-        assert back.name == "roundtrip"
-        assert len(back) == len(t)
-        for orig, loaded in zip(t.records, back.records):
-            assert orig.name == loaded.name
-            assert orig.category is loaded.category
-            assert orig.flops == loaded.flops
-            assert orig.shape == loaded.shape
-
-    def test_file_roundtrip(self, tmp_path):
-        t = self._sample_trace()
-        path = tmp_path / "trace.jsonl"
-        dump_trace(t, str(path))
-        assert len(load_trace(str(path))) == len(t)
-
-    def test_gzip_roundtrip(self, tmp_path):
-        t = self._sample_trace()
-        path = tmp_path / "trace.jsonl.gz"
-        dump_trace(t, str(path))
-        with gzip.open(path, "rt") as handle:
-            first = handle.readline()
-        assert "version" in first
-        assert len(load_trace(str(path))) == len(t)
-
-    def test_truncation_detected(self):
-        text = trace_to_string(self._sample_trace())
-        lines = text.splitlines()
-        truncated = "\n".join(lines[:-1]) + "\n"
-        with pytest.raises(ValueError, match="truncated"):
-            trace_from_string(truncated)
-
-    def test_version_check(self):
-        with pytest.raises(ValueError, match="version"):
-            trace_from_string('{"version": 99, "name": "x", "records": 0}\n')
+        loaded = self._roundtrip(store, t, meta={"kind": "x", "n": [1, 2]})
+        assert [name for name, _ in store.entries()] \
+            == [os.path.basename(store.path("trace-0"))]
+        assert loaded.records[0] is loaded.records[2]
+        assert loaded.records[3].tags == {"collective": "all_gather", "n": 2}
 
     @pytest.mark.parametrize("workload", ["alphafold", "transformer"])
-    def test_dump_matches_the_per_record_serialization(self, workload):
-        """``dump_trace`` serializes each record object once; its output
-        equals serializing every position, for a built and a loaded bench
-        trace (a loaded one shares objects across positions)."""
-        from repro.framework.trace_io import _record_to_dict
-        from repro.perf.trace_builder import build_step_trace
-        from repro.workloads import get_workload
+    def test_bench_trace_roundtrip(self, store, workload):
+        """The golden and transformer bench traces, built and then loaded,
+        come back field for field."""
+        loaded = self._roundtrip(store, _bench_trace(workload))
+        self._roundtrip(store, loaded, meta={"kind": "step-trace"})
 
-        def per_record(t) -> str:
-            rows, row_of, index = [], {}, []
-            for record in t.records:
-                line = json.dumps(_record_to_dict(record))
-                slot = row_of.get(line)
-                if slot is None:
-                    slot = row_of[line] = len(rows)
-                    rows.append(line)
-                index.append(slot)
-            header = {"version": 2, "name": t.name,
-                      "records": len(t.records), "rows": len(rows)}
-            lines = [json.dumps(header)] + rows + [json.dumps(index)]
-            return "".join(line + "\n" for line in lines)
+    @pytest.mark.parametrize("workload", ["alphafold", "transformer"])
+    def test_built_and_loaded_encode_equally(self, store, workload):
+        """A built trace shares fewer objects than its loaded copy, which
+        holds one per row; both encode to the same columns."""
+        built = _bench_trace(workload)
+        store.put_trace("k", built)
+        loaded = store.get_trace("k")[0]
+        assert len({id(r) for r in loaded.records}) \
+            < len({id(r) for r in built.records})
+        a, b = _encode_trace(built, None), _encode_trace(loaded, None)
+        assert sorted(a) == sorted(b)
+        for name in a:
+            assert a[name].dtype == b[name].dtype, name
+            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
 
-        wl = get_workload(workload)
-        policy = wl.bench_scenario_kwargs()["policy"]
-        step = build_step_trace(policy, cfg=wl.preset("full", policy),
-                                workload=wl)
-        text = trace_to_string(step.trace)
-        assert text == per_record(step.trace)
-        loaded = trace_from_string(text)
-        assert trace_to_string(loaded) == per_record(loaded) == text
+    def test_truncation_detected(self, store):
+        path = store.put_trace("k", self._sample_trace())
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(blob[:len(blob) // 2])
+        assert store.get_trace("k") is None
+        assert store.stats()["trace_misses"] == 1
+        assert not os.path.exists(path)
 
-    def test_costs_survive_roundtrip(self, tmp_path):
+    def test_version_check(self, store):
+        path = store.put_trace("k", self._sample_trace())
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["format"] = np.array([2])
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        assert store.get_trace("k") is None
+        assert store.stats()["trace_misses"] == 1
+        assert not os.path.exists(path)
+
+    def test_costs_survive_roundtrip(self, store):
         """A loaded trace must produce identical simulated step times."""
         from repro.hardware import A100, CostModel
         from repro.perf.step_time import simulate_step
 
         t = self._sample_trace()
-        path = tmp_path / "t.jsonl"
-        dump_trace(t, str(path))
-        loaded = load_trace(str(path))
+        store.put_trace("k", t)
+        loaded = store.get_trace("k")[0]
         cm = CostModel(A100, autotune=False)
         a = simulate_step(t, A100, cm).total_s
         b = simulate_step(loaded, A100, cm).total_s

@@ -1,7 +1,6 @@
 """Processes sharing one ``$REPRO_CACHE_DIR``: the disk store under real
 cross-process races, with a truncated entry planted at a shared key."""
 
-import gzip
 import json
 import os
 import pathlib
@@ -10,8 +9,7 @@ import sys
 
 import repro
 from repro.framework.trace_io import (CACHE_DIR_ENV, CACHE_DISABLE_ENV,
-                                      TraceCacheStore, reset_default_store,
-                                      trace_to_string)
+                                      TraceCacheStore, reset_default_store)
 from repro.perf.scaling import Scenario, estimate_step_time
 from repro.perf.trace_builder import (build_step_trace, trace_key,
                                       trace_store_material)
@@ -73,9 +71,10 @@ def test_processes_share_one_cold_store(tmp_path, monkeypatch):
     root = str(tmp_path / "cache")
     store = TraceCacheStore(root=root, enabled=True)
     material = _trace_material(planted)
-    os.makedirs(root)
-    entry = gzip.compress(trace_to_string(step.trace).encode())
-    with open(store.trace_path(material), "wb") as handle:
+    path = store.put_trace(material, step.trace)
+    with open(path, "rb") as handle:
+        entry = handle.read()
+    with open(path, "wb") as handle:
         handle.write(entry[:len(entry) // 2])
 
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])

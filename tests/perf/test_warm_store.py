@@ -107,7 +107,7 @@ def _cold(scenario: Scenario, monkeypatch) -> scaling.StepEstimate:
 def _entry_path(scenario: Scenario) -> str:
     material = cost_cache_material(repr(scaling._records_id(scenario)),
                                    get_gpu(scenario.gpu), True)
-    return default_store().arrays_path(material)
+    return default_store().path(material)
 
 
 def test_fresh_process_on_a_warm_store_builds_nothing(tmp_path):
@@ -168,11 +168,11 @@ def test_rejected_entry_is_a_miss_and_rebuilt(store_dir, damage):
         blob = pathlib.Path(path).read_bytes()
         pathlib.Path(path).write_bytes(blob[:len(blob) // 2])
     _clear_in_process_caches()
-    misses = default_store().array_misses
+    misses = default_store().stats()["array_misses"]
 
     assert estimate_step_time(scenario) == expected
     if damage == "truncated":
-        assert default_store().array_misses == misses + 1
+        assert default_store().stats()["array_misses"] == misses + 1
     with np.load(path) as data:
         assert int(data["format"][0]) == ARRAYS_FORMAT_VERSION
 
