@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from ..framework.tracer import KernelCategory, KernelRecord, Trace
 from ..hardware.gpu import GpuSpec
 from ..hardware.roofline import CostModel
+from ..perf.vector_cost import trace_cost_arrays
 from .findings import Finding, Severity
 from .rules import RuleConfig, register_rule
 
@@ -131,28 +132,30 @@ def _lint_chains(trace: Trace, cfg: RuleConfig,
             emit.append(f)
 
 
-def _lint_tiny_kernels(trace: Trace, gpu: GpuSpec, cost: CostModel,
-                       cfg: RuleConfig, emit: List[Finding]) -> None:
+def _launch_bound_kernels(trace: Trace, gpu: GpuSpec
+                          ) -> Dict[str, Tuple[float, int]]:
+    """``(device seconds, launches)`` per name of the kernels whose device
+    time is below the eager dispatch cost, among those a simulated step
+    runs (:func:`repro.perf.vector_cost.trace_cost_arrays`)."""
+    costs = trace_cost_arrays(trace.records, CostModel(gpu, autotune=False))
+    records = trace.records
+    return costs.label_seconds(
+        [records[i].name for i in costs.structure.exec_idx.tolist()],
+        mask=costs.seconds < gpu.dispatch_seconds(graphed=False))
+
+
+def _lint_tiny_kernels(trace: Trace, gpu: GpuSpec, cfg: RuleConfig,
+                       emit: List[Finding]) -> None:
     min_count = int(cfg.param("tiny_min_count", DEFAULT_TINY_MIN_COUNT))
     dispatch = gpu.dispatch_seconds(graphed=False)
-    per_name: Dict[str, Dict[str, float]] = {}
-    total = 0
-    for r in trace.records:
-        if r.category is KernelCategory.COMM:
+    for name, (seconds, count) in sorted(
+            _launch_bound_kernels(trace, gpu).items()):
+        if count < min_count:
             continue
-        total += 1
-        seconds = cost.kernel_seconds(r)
-        if seconds < dispatch:
-            agg = per_name.setdefault(r.name, {"count": 0, "seconds": 0.0})
-            agg["count"] += 1
-            agg["seconds"] += seconds
-    for name, agg in sorted(per_name.items()):
-        if agg["count"] < min_count:
-            continue
-        mean_us = agg["seconds"] / agg["count"] * 1e6
+        mean_us = seconds / count * 1e6
         f = cfg.finding(
             "TL002", f"kernel:{name}",
-            f"{agg['count']} launches of {name!r} run below the "
+            f"{count} launches of {name!r} run below the "
             f"{dispatch * 1e6:.1f} us dispatch cost (mean device time "
             f"{mean_us:.2f} us): the stream is CPU-launch-bound here",
             key=name,
@@ -214,14 +217,12 @@ def _lint_budget(trace: Trace, cfg: RuleConfig,
 
 
 def lint_trace(trace: Trace, gpu: GpuSpec,
-               config: Optional[RuleConfig] = None,
-               cost: Optional[CostModel] = None) -> List[Finding]:
+               config: Optional[RuleConfig] = None) -> List[Finding]:
     """Run every trace rule; returns unsorted findings."""
     cfg = config or RuleConfig()
-    cost = cost or CostModel(gpu, autotune=False)
     out: List[Finding] = []
     _lint_chains(trace, cfg, out)
-    _lint_tiny_kernels(trace, gpu, cost, cfg, out)
+    _lint_tiny_kernels(trace, gpu, cfg, out)
     _lint_recompute(trace, cfg, out)
     _lint_budget(trace, cfg, out)
     return out

@@ -231,8 +231,9 @@ class TraceCacheStore:
     def _load(self, material: str, decode: Callable[[object], object],
               kind: str) -> object:
         """``decode`` of the entry of ``material``, or None.  A missing
-        file is a miss; an unreadable entry, or one ``decode`` rejects, is
-        a miss whose file is removed, so that it is rebuilt."""
+        file is a miss; an unreadable entry, or one ``decode`` rejects by
+        raising or returning None, is a miss whose file is removed, so
+        that it is rebuilt."""
         if not self.enabled:
             return None
         path = self.path(material)
@@ -240,10 +241,12 @@ class TraceCacheStore:
             with np.load(path, allow_pickle=False) as data:
                 result = decode(data)
         except FileNotFoundError:
-            result = None
+            self._count(f"{kind}_misses")
+            return None
         except Exception:
-            self._drop(path)
             result = None
+        if result is None:
+            self._drop(path)
         self._count(f"{kind}_misses" if result is None else f"{kind}_hits")
         return result
 
@@ -264,19 +267,17 @@ class TraceCacheStore:
                   meta: Optional[dict] = None) -> Optional[str]:
         return self._publish(material, lambda: _encode_trace(trace, meta))
 
-    def get_arrays(self, material: str) -> Optional[Dict[str, np.ndarray]]:
-        return self._load(material,
-                          lambda data: {k: data[k] for k in data.files},
-                          "array")
+    def get_arrays(self, material: str,
+                   decode: Callable[[Dict[str, np.ndarray]], object]) -> object:
+        """``decode`` of the arrays of the entry of ``material``, or None;
+        a ``decode`` that returns None rejects the entry (a miss)."""
+        return self._load(
+            material, lambda data: decode({k: data[k] for k in data.files}),
+            "array")
 
     def put_arrays(self, material: str,
                    arrays: Dict[str, np.ndarray]) -> Optional[str]:
         return self._publish(material, lambda: arrays)
-
-    def drop_arrays(self, material: str) -> None:
-        """Remove an array entry its reader rejected, so it is rebuilt."""
-        if self.enabled:
-            self._drop(self.path(material))
 
     # ------------------------------------------------------------------
     # Introspection / maintenance

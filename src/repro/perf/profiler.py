@@ -5,16 +5,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..framework.tracer import KernelCategory
+import numpy as np
+
+from ..framework.tracer import KernelCategory, KernelRecord
 from ..hardware.gpu import GpuSpec
 from ..hardware.roofline import CostModel
-from .step_time import matching_seconds, scope_seconds, simulate_step
+from .fast_step import sequential_sum
+from .step_time import simulate_step
 from .trace_builder import StepTrace
+from .vector_cost import (TraceCostArrays, cost_cache_material,
+                          trace_cost_arrays)
 
 
 def _pct(part: float, total: float) -> float:
     """``100 * part / total``, defined as 0% for an empty/zero-time total."""
     return 100.0 * part / total if total > 0 else 0.0
+
+
+def _cost_arrays(step: StepTrace, gpu: GpuSpec) -> TraceCostArrays:
+    """The step's cost arrays on ``gpu`` with autotune off, from the cost
+    LRU and the store under the step's store material (costed afresh for
+    a step built with ``use_cache=False``)."""
+    material = (None if step.store_material is None
+                else cost_cache_material(step.store_material, gpu, False))
+    return trace_cost_arrays(step.trace.records,
+                             CostModel(gpu, autotune=False),
+                             store_material=material)
+
+
+def _executed(step: StepTrace, costs: TraceCostArrays) -> List[KernelRecord]:
+    """The records of the kernels the simulated step runs (no COMM or
+    comm-hidden ones), aligned with ``costs``."""
+    records = step.trace.records
+    return [records[i] for i in costs.structure.exec_idx.tolist()]
 
 
 @dataclass
@@ -42,16 +65,14 @@ class Table1:
         return "\n".join(lines)
 
 
-def table1_breakdown(step: StepTrace, gpu: GpuSpec,
-                     cost_model: Optional[CostModel] = None) -> Table1:
+def table1_breakdown(step: StepTrace, gpu: GpuSpec) -> Table1:
     """Regenerate Table 1 from a step trace on a GPU.
 
     Paper reference (A100, eager reference model):
     CPU overhead 9.10% / -, math-bounded 24.06% / 18,147,
     memory-bounded 65.03% / 97,749, memory-operation 1.82% / 34,991.
     """
-    cost_model = cost_model or CostModel(gpu, autotune=False)
-    breakdown = simulate_step(step.trace, gpu, cost_model)
+    breakdown = simulate_step(None, gpu, costs=_cost_arrays(step, gpu))
     total = breakdown.total_s
     rows = [Table1Row("CPU Overhead", _pct(breakdown.cpu_exposed_s, total),
                       None)]
@@ -74,11 +95,6 @@ class KeyOperationStats:
     achieved_pct_of_theoretical: float
 
 
-def _theoretical_seconds(cost_model: CostModel, flops: float, bytes_: float,
-                         dtype: str) -> float:
-    return cost_model.theoretical_seconds(flops, bytes_, dtype)
-
-
 def key_operation_analysis(reference: StepTrace, fused: StepTrace,
                            gpu: GpuSpec) -> List[KeyOperationStats]:
     """MHA / LN / weight-update / SWA / grad-clip shares and % of peak.
@@ -89,28 +105,31 @@ def key_operation_analysis(reference: StepTrace, fused: StepTrace,
     (MHA 26%, LN 10%, update 10%, SWA <5%, clip <1%).
     """
     cost_model = CostModel(gpu, autotune=False)
-    step_total = simulate_step(reference.trace, gpu, cost_model).total_s
+    costs = _cost_arrays(reference, gpu)
+    step_total = simulate_step(None, gpu, costs=costs).total_s
     dtype = reference.policy.dtype.name
+    executed = _executed(reference, costs)
 
+    # The reference groups may overlap, so each one sums its own mask.
     groups = [
-        ("MHA", dict(scope_substring="attention"), ("fused_mha",)),
-        ("LayerNorm", dict(scope_substring="layer_norm"), ("fused_layernorm",)),
-        ("WeightUpdate", dict(name_prefixes=("adam_",)), ("fused_adam_swa",)),
-        ("SWA", dict(name_prefixes=("swa_",)), ("fused_adam_swa",)),
-        ("GradClip", dict(name_prefixes=("clip_",)), ("bucket_",)),
+        ("MHA", lambda r: "attention" in r.scope, ("fused_mha",)),
+        ("LayerNorm", lambda r: "layer_norm" in r.scope, ("fused_layernorm",)),
+        ("WeightUpdate", lambda r: r.name.startswith("adam_"), ("fused_adam_swa",)),
+        ("SWA", lambda r: r.name.startswith("swa_"), ("fused_adam_swa",)),
+        ("GradClip", lambda r: r.name.startswith("clip_"), ("bucket_",)),
     ]
     out: List[KeyOperationStats] = []
     dispatch_s = gpu.dispatch_seconds()
-    for name, ref_filter, fused_prefixes in groups:
-        ref_secs, ref_calls = matching_seconds(
-            reference.trace, cost_model,
-            scope_substring=ref_filter.get("scope_substring"),
-            name_prefixes=ref_filter.get("name_prefixes", ()))
+    for name, matches, fused_prefixes in groups:
+        mask = np.fromiter(map(matches, executed), dtype=bool, count=costs.m)
+        ref_secs = sequential_sum(costs.seconds[mask])
+        ref_calls = int(np.count_nonzero(mask))
         if name in ("WeightUpdate", "SWA", "GradClip"):
             # The per-tensor update phase runs after a host sync and is
             # launch-bound: wall time is CPU dispatch, not device time.
             ref_secs = max(ref_secs, ref_calls * dispatch_s)
-        # Minimal footprint from the fused trace's records of this pattern.
+        # Minimal footprint from all the fused trace's records of this
+        # pattern: the comm-hidden ``bucket_*`` ones are GradClip's.
         flops = bytes_ = 0.0
         for r in fused.trace:
             if r.name.startswith(fused_prefixes):
@@ -121,7 +140,7 @@ def key_operation_analysis(reference: StepTrace, fused: StepTrace,
         if name in ("WeightUpdate", "SWA"):
             flops *= 0.8 if name == "WeightUpdate" else 0.2
             bytes_ *= 0.8 if name == "WeightUpdate" else 0.2
-        theoretical = _theoretical_seconds(cost_model, flops, bytes_, dtype)
+        theoretical = cost_model.theoretical_seconds(flops, bytes_, dtype)
         achieved = _pct(theoretical, ref_secs)
         out.append(KeyOperationStats(
             name=name,
@@ -143,32 +162,28 @@ class KernelRow:
     mean_us: float
 
 
-def top_kernels(step: StepTrace, gpu: GpuSpec, k: int = 15,
-                cost_model: Optional[CostModel] = None) -> List[KernelRow]:
-    """The k most expensive kernel names (by total device time)."""
-    cost_model = cost_model or CostModel(gpu, autotune=False)
-    seconds: Dict[str, float] = {}
-    calls: Dict[str, int] = {}
-    for record in step.trace:
-        if record.category is KernelCategory.COMM:
-            continue
-        t = cost_model.kernel_seconds(record)
-        seconds[record.name] = seconds.get(record.name, 0.0) + t
-        calls[record.name] = calls.get(record.name, 0) + 1
-    total = sum(seconds.values())
-    rows = [KernelRow(name=name, seconds=s, calls=calls[name],
-                      pct_of_step=_pct(s, total),
-                      mean_us=1e6 * s / calls[name])
-            for name, s in seconds.items()]
+def top_kernels(step: StepTrace, gpu: GpuSpec,
+                k: int = 15) -> List[KernelRow]:
+    """The k most expensive kernel names (by total device time) among the
+    kernels the simulated step runs."""
+    costs = _cost_arrays(step, gpu)
+    per_name = costs.label_seconds([r.name for r in _executed(step, costs)])
+    total = sum(s for s, _ in per_name.values())
+    rows = [KernelRow(name=name, seconds=s, calls=calls,
+                      pct_of_step=_pct(s, total), mean_us=1e6 * s / calls)
+            for name, (s, calls) in per_name.items()]
     rows.sort(key=lambda r: -r.seconds)
     return rows[:k]
 
 
 def module_time_shares(step: StepTrace, gpu: GpuSpec,
                        depth: int = 2) -> Dict[str, float]:
-    """Fraction of device time per top-level module (Evoformer ~72%...)."""
-    cost_model = CostModel(gpu, autotune=False)
-    shares = scope_seconds(step.trace, cost_model, depth=depth)
+    """Fraction of device time per top-level module (Evoformer ~72%...),
+    grouped by the leading ``depth`` scope components."""
+    costs = _cost_arrays(step, gpu)
+    shares = {key: s for key, (s, _) in costs.label_seconds(
+        ["/".join(r.scope.split("/")[:depth]) if r.scope else "(update)"
+         for r in _executed(step, costs)]).items()}
     total = sum(shares.values())
     return {k: (v / total if total > 0 else 0.0)
             for k, v in sorted(shares.items(), key=lambda kv: -kv[1])}
@@ -230,9 +245,7 @@ class FlameNode:
         return "\n".join(lines)
 
 
-def scope_flame(step: StepTrace, gpu: GpuSpec,
-                cost_model: Optional[CostModel] = None,
-                graphed: bool = False) -> FlameNode:
+def scope_flame(step: StepTrace, gpu: GpuSpec) -> FlameNode:
     """Roll simulated step time up the module scope tree.
 
     Runs the same DES as :func:`table1_breakdown` and attributes each
@@ -240,7 +253,6 @@ def scope_flame(step: StepTrace, gpu: GpuSpec,
     leaves, plus a ``(cpu exposed)`` frame for GPU starvation — so the
     root's ``total_seconds`` equals the simulated step time exactly.
     """
-    cost_model = cost_model or CostModel(gpu, autotune=False)
     root = FlameNode("step")
     busy = [0.0]
 
@@ -251,7 +263,10 @@ def scope_flame(step: StepTrace, gpu: GpuSpec,
         node.child(record.name).self_seconds += end - start
         busy[0] += end - start
 
-    breakdown = simulate_step(step.trace, gpu, cost_model, graphed=graphed,
+    # Replayed kernel by kernel: a span width ``end - start`` is not in
+    # general bit-equal to the kernel's seconds.
+    breakdown = simulate_step(step.trace.records, gpu,
+                              costs=_cost_arrays(step, gpu),
                               on_kernel=attribute)
     exposed = breakdown.total_s - busy[0]
     if exposed > 0:

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..framework.tracer import KernelCategory, KernelRecord
+from ..framework.tracer import KernelRecord
 from ..hardware.gpu import GpuSpec
 from ..hardware.roofline import CostModel
 from ..sim.des import Event, Simulator, Timeline
@@ -403,34 +403,3 @@ def _simulate_step_event(recs: List[KernelRecord], gpu: GpuSpec,
         limiter_seconds=limiters,
         segments=segments,
     )
-
-
-def scope_seconds(records: Iterable[KernelRecord], cost_model: CostModel,
-                  depth: int = 2) -> Dict[str, float]:
-    """Device time grouped by leading scope components (module shares)."""
-    out: Dict[str, float] = {}
-    for record in records:
-        if record.category is KernelCategory.COMM:
-            continue
-        key = "/".join(record.scope.split("/")[:depth]) if record.scope else "(update)"
-        out[key] = out.get(key, 0.0) + cost_model.kernel_seconds(record)
-    return out
-
-
-def matching_seconds(records: Iterable[KernelRecord], cost_model: CostModel,
-                     scope_substring: Optional[str] = None,
-                     name_prefixes: Tuple[str, ...] = ()) -> Tuple[float, int]:
-    """(device seconds, calls) of records matching a scope/name filter."""
-    total, calls = 0.0, 0
-    for record in records:
-        if record.category is KernelCategory.COMM:
-            continue
-        hit = False
-        if scope_substring is not None and scope_substring in record.scope:
-            hit = True
-        if not hit and name_prefixes and record.name.startswith(name_prefixes):
-            hit = True
-        if hit:
-            total += cost_model.kernel_seconds(record)
-            calls += 1
-    return total, calls

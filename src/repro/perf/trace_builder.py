@@ -58,6 +58,9 @@ class StepTrace:
     n_params: int
     param_shapes: List[Tuple[int, ...]]
     workload: str = DEFAULT_WORKLOAD
+    #: The store material the trace was built or loaded under, which keys
+    #: the analyses' cost arrays (None when built with ``use_cache=False``).
+    store_material: Optional[str] = None
 
     @property
     def n_kernels(self) -> int:
@@ -140,7 +143,8 @@ def build_step_trace(policy: Optional[KernelPolicy] = None,
         stored = default_store().get_trace(material)
         if stored is not None:
             t, meta = stored
-            result = _from_stored(t, meta, policy, n_recycle, wl.name)
+            result = _from_stored(t, meta, policy, n_recycle, wl.name,
+                                  material)
             if result is not None:
                 _CACHE.put(key, result)
                 return result
@@ -161,7 +165,8 @@ def build_step_trace(policy: Optional[KernelPolicy] = None,
 
     result = StepTrace(trace=t, policy=policy, n_recycle=n_recycle,
                        n_params=model.num_parameters(),
-                       param_shapes=param_shapes, workload=wl.name)
+                       param_shapes=param_shapes, workload=wl.name,
+                       store_material=material if use_cache else None)
     if use_cache:
         _CACHE.put(key, result)
         default_store().put_trace(material, t, meta={
@@ -221,7 +226,8 @@ def templated_records(wl: Workload, cfg,
 
 
 def _from_stored(t: Trace, meta: Optional[dict], policy: KernelPolicy,
-                 n_recycle: int, workload: str) -> Optional[StepTrace]:
+                 n_recycle: int, workload: str,
+                 material: str) -> Optional[StepTrace]:
     """Reassemble a StepTrace from a disk-cache hit (None if meta is off)."""
     if not meta or meta.get("kind") != "step-trace":
         return None
@@ -235,7 +241,7 @@ def _from_stored(t: Trace, meta: Optional[dict], policy: KernelPolicy,
         return None
     return StepTrace(trace=t, policy=policy, n_recycle=n_recycle,
                      n_params=n_params, param_shapes=param_shapes,
-                     workload=workload)
+                     workload=workload, store_material=material)
 
 
 def clear_cache() -> None:

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -183,19 +184,26 @@ class TraceCostArrays:
             if lim_calls[i]:
                 self.limiter_seconds[name] = float(lim_sec[i])
 
-    def phase_seconds(self) -> Dict[str, float]:
-        """Device-busy seconds per phase (forward/backward/update).
+    def label_seconds(self, labels: Sequence[Hashable],
+                      mask: Optional[np.ndarray] = None
+                      ) -> Dict[Hashable, Tuple[float, int]]:
+        """``(device seconds, kernels)`` per label, in first-seen order.
 
-        Same sequential bincount discipline as the category aggregates, so
-        the per-phase split sums to ``seconds.sum()`` exactly.  The serving
-        layer prices an inference request from the ``forward`` entry.
+        ``labels`` holds one label per executable kernel (a name, a scope
+        prefix); ``mask`` selects the kernels counted.  ``np.bincount``
+        adds in trace order, so each sum is bit-identical to a scalar loop.
         """
-        if not self.m:
-            return {}
-        names = self.structure.phase_names
-        sec = np.bincount(self.structure.phase_codes, weights=self.seconds,
-                          minlength=len(names))
-        return {name: float(sec[i]) for i, name in enumerate(names)}
+        code_of: Dict[Hashable, int] = {}
+        codes = np.fromiter((code_of.setdefault(label, len(code_of))
+                             for label in labels),
+                            dtype=np.int64, count=self.m)
+        seconds = self.seconds
+        if mask is not None:
+            codes, seconds = codes[mask], seconds[mask]
+        sec = np.bincount(codes, weights=seconds, minlength=len(code_of))
+        calls = np.bincount(codes, minlength=len(code_of))
+        return {label: (float(sec[i]), int(calls[i]))
+                for label, i in code_of.items() if calls[i]}
 
     # ------------------------------------------------------------------
     # Persistence (numpy-only payload; no pickled objects)
@@ -494,15 +502,14 @@ def trace_cost_arrays(records: Union[Sequence[KernelRecord],
                                             cached.structure.n_records):
         return cached
 
+    def decode(payload: Dict[str, np.ndarray]) -> Optional[TraceCostArrays]:
+        stored = TraceCostArrays.from_arrays(payload)
+        if stored is None or n_records not in (None, stored.structure.n_records):
+            return None  # other format, or different-shaped records
+        return stored
+
     store = default_store()
-    arrays: Optional[TraceCostArrays] = None
-    payload = store.get_arrays(store_material)
-    if payload is not None:
-        arrays = TraceCostArrays.from_arrays(payload)
-        if arrays is None or n_records not in (None,
-                                               arrays.structure.n_records):
-            arrays = None  # other format, or different-shaped records
-            store.drop_arrays(store_material)
+    arrays = store.get_arrays(store_material, decode)
     fresh = arrays is None
     if fresh:
         arrays = compute_cost_arrays(_called(records), cost_model,

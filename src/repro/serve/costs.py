@@ -107,7 +107,6 @@ def inference_cost(workload, preset: str = "small", gpu: str = "H100",
         forward, cost_model,
         store_material=cost_cache_material(
             repr(("serve-fwd", key)), gpu_spec, True))
-    device_s = arrays.phase_seconds().get("forward", 0.0)
     # Eager (non-graphed) single-request wall time: device work plus the
     # exposed dispatch stream — the per-batch fixed cost batching amortizes.
     breakdown = simulate_step(forward, gpu_spec, cost_model, graphed=False,
@@ -117,7 +116,7 @@ def inference_cost(workload, preset: str = "small", gpu: str = "H100",
         preset=preset,
         gpu=gpu,
         base_length=wl.serve_length(cfg),
-        device_s=device_s,
+        device_s=breakdown.gpu_busy_s,
         launch_s=breakdown.total_s,
         length_exponent=wl.serve_length_exponent,
         n_kernels=arrays.m,

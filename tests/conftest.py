@@ -7,8 +7,21 @@ import numpy as np
 import pytest
 
 from repro.framework import seed
-from repro.hardware import A100, H100, CostModel
+from repro.framework.trace_io import CACHE_DIR_ENV, reset_default_store
+from repro.hardware import H100, CostModel
 from repro.model.config import AlphaFoldConfig, KernelPolicy
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_store(tmp_path_factory):
+    """Point the default disk store at a directory of this session, so the
+    suite neither reads nor writes the user's store."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("repro-store")))
+    reset_default_store()
+    yield
+    patch.undo()
+    reset_default_store()
 
 
 @pytest.fixture(autouse=True)
@@ -48,11 +61,6 @@ def scalefold_step_trace():
 
     return build_step_trace(KernelPolicy.scalefold(checkpointing=True),
                             n_recycle=1)
-
-
-@pytest.fixture
-def a100_cost_model():
-    return CostModel(A100, autotune=False)
 
 
 @pytest.fixture

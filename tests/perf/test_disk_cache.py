@@ -61,7 +61,7 @@ class TestStoreRoundTrip:
 
     def test_missing_entry_is_a_counted_miss(self, store):
         assert store.get_trace("nope") is None
-        assert store.get_arrays("nope") is None
+        assert store.get_arrays("nope", dict) is None
         stats = store.stats()
         assert stats["trace_misses"] == 1 and stats["array_misses"] == 1
 
@@ -78,7 +78,7 @@ class TestStoreRoundTrip:
         step, _, _ = _tiny_trace()
         arrays = compute_cost_arrays(list(step.trace.records), cost)
         store.put_arrays("ak", arrays.to_arrays())
-        reloaded = TraceCostArrays.from_arrays(store.get_arrays("ak"))
+        reloaded = store.get_arrays("ak", TraceCostArrays.from_arrays)
         np.testing.assert_array_equal(reloaded.seconds, arrays.seconds)
         np.testing.assert_array_equal(reloaded.structure.exec_idx,
                                       arrays.structure.exec_idx)
@@ -353,7 +353,7 @@ class TestConcurrentWriters:
             t.join()
 
         assert store.stats()["writes"] == 1
-        loaded = store.get_arrays("hot-arrays")
+        loaded = store.get_arrays("hot-arrays", dict)
         np.testing.assert_array_equal(loaded["seconds"], arrays["seconds"])
 
     def test_stats_snapshot_is_consistent(self, store):

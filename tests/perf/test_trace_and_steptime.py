@@ -6,8 +6,7 @@ import pytest
 from repro.framework.tracer import KernelCategory, KernelRecord
 from repro.hardware import A100, H100, CostModel
 from repro.model.config import KernelPolicy
-from repro.perf.step_time import (matching_seconds, scope_seconds,
-                                  simulate_step)
+from repro.perf.step_time import simulate_step
 from repro.perf.torchcompile import apply_torch_compile, compile_summary
 from repro.perf.trace_builder import build_step_trace
 
@@ -96,16 +95,6 @@ class TestSimulateStep:
         bd = simulate_step([hidden, visible], A100,
                            CostModel(A100, autotune=False))
         assert bd.kernel_count == 1
-
-    def test_scope_seconds_and_matching(self, reference_step_trace,
-                                        a100_cost_model):
-        shares = scope_seconds(reference_step_trace.trace.records,
-                               a100_cost_model, depth=2)
-        assert "alphafold/evoformer" in shares
-        secs, calls = matching_seconds(reference_step_trace.trace.records,
-                                       a100_cost_model,
-                                       scope_substring="attention")
-        assert secs > 0 and calls > 0
 
 
 class TestTorchCompile:
